@@ -1,9 +1,10 @@
-"""Engine hot-path benchmark: vectorized traversal vs the scalar reference.
+"""Engine hot-path benchmark: the level sweep vs the scalar reference.
 
-Measures single-query wall-clock of ``ALAE(use_vectorized=True)`` against
-the pre-vectorization per-fork reference path (``use_vectorized=False``) on
-the paper's Sec. 7 workload shape — homologous queries sampled from an
-n≈320k synthetic text — for both alphabets the paper evaluates:
+Measures single-query wall-clock of ``ALAE(use_vectorized=True)`` (the
+level-synchronous sweep) against the per-fork, depth-first reference path
+(``use_vectorized=False``) on the paper's Sec. 7 workload shape —
+homologous queries sampled from an n≈320k synthetic text — for both
+alphabets the paper evaluates:
 
 * DNA (sigma = 4), default scheme ``<1,-3,-5,-2>``;
 * protein (sigma = 20), scheme ``<1,-3,-11,-1>`` (Sec. 7.5).

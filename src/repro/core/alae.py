@@ -5,18 +5,22 @@ Pipeline per search (query ``P``, threshold ``H`` or E-value):
 1. resolve ``H`` (Karlin-Altschul, Sec. 7) and build the
    :class:`~repro.core.filters.FilterPlan` (q, min row, Lmax, FGOE bound);
 2. build the q-gram inverted index of ``P`` (Sec. 3.1.3);
-3. for every distinct q-gram ``g`` of ``P``:
+3. find every distinct q-gram ``g`` of ``P`` in the text via the compressed
+   suffix array of the reversed text (Sec. 5; all grams together, ``q``
+   batched backward-search steps); then for every ``g``:
    a. drop fork columns killed by q-prefix domination (Sec. 3.2.2) and —
-      optionally — by the online bit matrix ``G`` (Sec. 3.2.1);
-   b. locate ``g`` in the text via the compressed suffix array of the
-      reversed text (Sec. 5); a miss prunes the entire conceptual matrix
-      (whole-matrix prefix filtering);
-   c. seed one fork per surviving column at row ``q`` (EMR scores are
-      assigned, not calculated) and traverse the suffix-trie subtree under
-      ``g``, advancing NGR forks along their diagonals (Eq. 3) and gap-phase
-      forks through the sparse affine DP, with the Sec. 4 reuse engine
-      sharing identical fork advances;
-4. alignments shorter than ``q`` (possible only when ``H < q * sa``) are
+      optionally — by the online bit matrix ``G`` (Sec. 3.2.1); a miss in
+      the text prunes the entire conceptual matrix (whole-matrix prefix
+      filtering);
+   b. seed one fork per surviving column at row ``q`` (EMR scores are
+      assigned, not calculated);
+4. traverse the suffix-trie subtrees under the seeded grams, advancing NGR
+   forks along their diagonals (Eq. 3) and gap-phase forks through the
+   sparse affine DP, with the Sec. 4 reuse engine sharing identical fork
+   advances.  The default traversal sweeps all subtrees together one trie
+   level at a time (:meth:`ALAE._sweep`); the scalar reference walks one
+   subtree at a time, depth first;
+5. alignments shorter than ``q`` (possible only when ``H < q * sa``) are
    all-match by Theorem 3's argument and are enumerated directly.
 
 Every cell with score ``>= H`` lands in the max-dedup accumulator ``A``; the
@@ -76,15 +80,16 @@ class ALAE:
         Toggles for each technique (all exact; defaults mirror the paper's
         configuration — the bitmap filter is off, Sec. 3.2.2 replacing it).
     use_vectorized:
-        When ``True`` (default) the suffix-trie traversal runs on the
-        code-point representation: NGR fork cohorts advance as parallel
-        ``(pip, score)`` sequences (numpy arrays past the cohort cutoff),
-        child existence is read off the BWT before any rank query is paid,
-        unary chains are consumed straight from the text with vectorized
-        diagonal runs, and hit emission uses the batched locate.
-        ``False`` keeps the per-fork scalar reference traversal; both
-        return bit-identical results and statistics (the differential
-        fuzz suite asserts it).  See README "Engine internals".
+        When ``True`` (default) the suffix-trie traversal is one
+        level-synchronous sweep per query (:meth:`_sweep`): the nodes of
+        every q-gram subtree at one depth advance together, their child
+        ranges taken by batched rank gathers and their NGR forks scored,
+        bounded and filtered as arrays; gap-phase forks, hit location and
+        old-enough unary chains (consumed straight from the text) stay per
+        node.  ``False`` keeps the per-fork, depth-first scalar reference
+        traversal.  Both visit the same nodes and return bit-identical
+        results and statistics (the differential fuzz suite asserts it).
+        See README "Engine internals".
     """
 
     def __init__(
@@ -115,7 +120,7 @@ class ALAE:
         self.csa = ReversedTextIndex(
             text, alphabet, occ_block=occ_block, sa_sample=sa_sample
         )
-        # code -> character for the vectorized traversal (code 0 = sentinel).
+        # code -> character for the sweep (code 0 = sentinel).
         self._code_chars = [""] + list(alphabet.chars)
         self._dom_cache: dict[int, DominationIndex] = {}
 
@@ -218,9 +223,9 @@ class ALAE:
         if m >= plan.q:
             vec_state = None
             if self.use_vectorized:
-                # Per-search context of the vectorized traversal: query code
-                # points (array + list form) and the depth-only liveness
-                # thresholds for every admissible row.
+                # Per-search context of the sweep: query code points (array
+                # + list form) and the depth-only liveness thresholds for
+                # every admissible row.
                 qcodes = self.csa.query_codes(query)
                 vec_state = (
                     qcodes,
@@ -231,10 +236,34 @@ class ALAE:
                     ],
                 )
             qidx = QGramIndex(query, plan.q)
-            for gram in qidx.grams():
-                self._search_gram(
-                    gram, qidx, query, vec_state, plan, h_thr, results, stats,
-                    counter, reuse, dom, gbm,
+            grams = qidx.grams()
+            los, his = self.csa.ranges_of(grams)
+            pending = []
+            for gram, lo, hi in zip(grams, los.tolist(), his.tolist()):
+                seeded = self._seed_gram(
+                    gram, qidx.positions(gram), (lo, hi), query, plan, h_thr,
+                    results, stats, counter, dom, gbm,
+                )
+                if seeded is None:
+                    continue
+                if vec_state is None:
+                    self._traverse_scalar(
+                        *seeded, query, plan, h_thr, results, stats, counter,
+                        reuse, gbm,
+                    )
+                elif gbm is None:
+                    pending.append(seeded)
+                else:
+                    # Bitmask marks from this gram decide which seeds of
+                    # the next one count: sweep it before seeding on.
+                    self._sweep(
+                        [seeded], query, vec_state, plan, h_thr, results,
+                        stats, counter, reuse, gbm,
+                    )
+            if pending:
+                self._sweep(
+                    pending, query, vec_state, plan, h_thr, results, stats,
+                    counter, reuse, gbm,
                 )
 
         stats.calculated_x1 = counter.x1
@@ -269,25 +298,29 @@ class ALAE:
                     for end in ends:
                         results.add(end, p_end, score, end - length + 1)
 
-    def _search_gram(
+    def _seed_gram(
         self,
         gram: str,
-        qidx: QGramIndex,
+        cols: list[int],
+        rng: tuple[int, int],
         query: str,
-        vec_state: tuple | None,
         plan: FilterPlan,
         h_thr: int,
         results: ResultSet,
         stats: SearchStats,
         counter: CostCounter,
-        reuse: ReuseEngine,
         dom: DominationIndex | None,
         gbm: GlobalBitMatrix | None,
-    ) -> None:
-        """Seed and traverse all forks of one distinct q-gram of the query."""
-        q = plan.q
-        cols = qidx.positions(gram)
+    ) -> tuple[tuple[int, int], list[Fork]] | None:
+        """Seed the forks of one distinct q-gram (shared by both traversals).
 
+        ``cols`` are the gram's query columns and ``rng`` its SA range
+        (:data:`EMPTY_RANGE` when the text lacks it).  Applies q-prefix
+        domination, the whole-matrix miss and, optionally, the bitmask
+        filter; records the seed row's hits; returns ``(rng, forks)`` for
+        the traversal, or ``None`` when no fork survives seeding.
+        """
+        q = plan.q
         if dom is not None:
             pred = dom.unique_predecessor(gram)
             if pred is not None:
@@ -297,12 +330,11 @@ class ALAE:
                 stats.forks_skipped_domination += len(cols) - len(kept)
                 cols = kept
         if not cols:
-            return
+            return None
 
-        rng = self.csa.range_of(gram)
         if rng == EMPTY_RANGE:
             stats.grams_absent_in_text += 1
-            return
+            return None
 
         seed_ends: list[int] | None = None
         if gbm is not None:
@@ -312,12 +344,12 @@ class ALAE:
             stats.forks_skipped_global += len(cols) - len(kept)
             cols = kept
             if not cols:
-                return
+                return None
 
         seed_score = q * self.scheme.sa
         live_seed = plan.row_live_threshold(q, self.use_score_filter)
         if seed_score <= live_seed:
-            return  # every fork of this gram is dead on arrival
+            return None  # every fork of this gram is dead on arrival
 
         forks = [
             seed_fork(j, plan, self.scheme, live_seed, counter) for j in cols
@@ -325,14 +357,7 @@ class ALAE:
         stats.forks_seeded += len(forks)
         stats.emr_assigned += q * len(forks)
 
-        ends_cache = seed_ends
-
-        def seed_ends_lazy() -> list[int]:
-            nonlocal ends_cache
-            if ends_cache is None:
-                ends_cache = self.csa.end_positions(rng)
-            return ends_cache
-
+        sa = self.scheme.sa
         for fork in forks:
             cells = (
                 fork.frontier.items()
@@ -340,22 +365,15 @@ class ALAE:
                 else [(fork.pip + q - 1, (seed_score, 0))]
             )
             for col, (m_val, _ga) in cells:
-                if m_val >= h_thr:
-                    for end in seed_ends_lazy():
-                        results.add(end, col, m_val, end - q + 1)
-                if gbm is not None and m_val >= self.scheme.sa:
-                    gbm.mark(seed_ends_lazy(), col)
-
-        if vec_state is not None:
-            self._traverse_vectorized(
-                rng, forks, query, vec_state, plan, h_thr, results, stats,
-                counter, reuse, gbm,
-            )
-        else:
-            self._traverse_scalar(
-                rng, forks, query, plan, h_thr, results, stats, counter,
-                reuse, gbm,
-            )
+                if m_val >= h_thr or (gbm is not None and m_val >= sa):
+                    if seed_ends is None:
+                        seed_ends = self.csa.end_positions(rng)
+                    if m_val >= h_thr:
+                        for end in seed_ends:
+                            results.add(end, col, m_val, end - q + 1)
+                    if gbm is not None and m_val >= sa:
+                        gbm.mark(seed_ends, col)
+        return rng, forks
 
     def _traverse_scalar(
         self,
@@ -370,7 +388,7 @@ class ALAE:
         reuse: ReuseEngine,
         gbm: GlobalBitMatrix | None,
     ) -> None:
-        """Per-fork reference traversal (the pre-vectorization hot path)."""
+        """Per-fork, depth-first reference traversal of one gram's subtree."""
         char_codes = self.csa.char_codes()
         extend_code = self.csa.extend_code
         stack: list[tuple[tuple[int, int], int, list[Fork]]] = [
@@ -393,10 +411,6 @@ class ALAE:
                 if survivors:
                     stack.append((child_rng, new_depth, survivors))
 
-    #: Cohorts below this size advance with plain Python ints: the numpy
-    #: per-call overhead exceeds the work at 1-7 forks (measured), and the
-    #: scalar arm of the advance runs on the same code-point representation.
-    _VECTOR_MIN_FORKS = 8
     #: A unary chain must have survived this many rows before the engine
     #: pays one locate to switch to text mode (free when the chain happens
     #: to step onto a sampled SA row), and must have at least this much
@@ -405,10 +419,9 @@ class ALAE:
     _CHAIN_MIN_AGE = 3
     _CHAIN_MIN_BUDGET = 8
 
-    def _traverse_vectorized(
+    def _sweep(
         self,
-        rng: tuple[int, int],
-        forks: list[Fork],
+        seeds: list[tuple[tuple[int, int], list[Fork]]],
         query: str,
         vec_state: tuple,
         plan: FilterPlan,
@@ -419,39 +432,28 @@ class ALAE:
         reuse: ReuseEngine,
         gbm: GlobalBitMatrix | None,
     ) -> None:
-        """Cohort traversal on the code-point representation.
+        """Level-synchronous traversal of every seeded q-gram subtree.
 
-        Structure (bit-identical results, ordering and cost accounting to
-        :meth:`_traverse_scalar`, asserted by the differential fuzz suite):
+        Every seed sits at depth ``q``, so the nodes of all subtrees at one
+        depth form one level and advance together as array operations:
 
-        * child *existence* is read straight off the BWT — ``bwt[lo]`` on
-          unary paths, a slice scan on narrow nodes, one ``bincount`` pass
-          on wide ones — and the cohort advances **before** any rank query:
-          a child whose forks all die needs no SA range at all, so the
-          O(occ) work is paid only for children with survivors, emissions
-          or gap forks (dead ends are the overwhelming majority of trie
-          edges).  Gap-bearing wide nodes take
-          :meth:`ReversedTextIndex.children` (one Occ-row pair for all
-          sigma child ranges) since every existing child must be walked;
-        * the NGR cohort is a pair of parallel ``(pip, score)`` sequences:
-          at ``>= _VECTOR_MIN_FORKS`` forks it advances as int64 arrays
-          with one gather (``qcodes[cols - 1]``) and mask per (node,
-          character); below that the same code-point advance runs on
-          Python ints, where per-call numpy overhead would dominate;
-        * unary chains (a size-1 range pins a single occurrence, so every
-          descendant has at most one child) are followed in an inner loop
-          with no stack traffic, and once a chain is ``_CHAIN_MIN_AGE``
-          rows old it switches to *text mode* (:meth:`_chain_text`): one
-          locate, then characters are plain array reads, pure-NGR
-          stretches score the whole remaining chain with one
-          gather + cumsum per fork (:meth:`_chain_run`), and gap cones
-          step through the shared sparse DP with locate-free emission;
-        * hits are located with the batched LF walk
-          (:meth:`ReversedTextIndex.end_positions_array`, via
-          :meth:`_locate_ends`) and recorded via :meth:`ResultSet.add` /
-          :meth:`ResultSet.add_batch`.
+        * child ranges of every node: two rank-table gathers
+          (:meth:`FMIndex.extend_all`);
+        * the NGR cohort of the level as flat ``(node, pip, score)``
+          arrays: one Eq. 3 score per (fork, existing child), the Theorem 2
+          bounds, the x1 charges, survivor selection and the FGOE
+          crossings, all as array arithmetic.
+
+        Per-node Python remains only where the work is per node by nature:
+        gap-phase forks advance per node and child through the Sec. 4
+        reuse engine (:func:`advance_row`), hits are located per child
+        (:meth:`_locate_ends`), and unary chains old enough are handed to
+        text mode (:meth:`_chain_text`).  The sweep visits the nodes the
+        scalar reference visits and calculates the same entries, in
+        another order; hits and every counter are identical (the
+        differential fuzz suite asserts it).
         """
-        qcodes, qlist, live_rows = vec_state
+        qcodes, _qlist, live_rows = vec_state
         scheme = self.scheme
         sa, sb = scheme.sa, scheme.sb
         m, h_budget = plan.m, plan.threshold
@@ -461,465 +463,209 @@ class ALAE:
         use_lf = self.use_length_filter
         csa = self.csa
         fm = csa._fm
-        fm_bwt = fm._bwt
-        fm_bwt_arr = fm._bwt_arr
-        occ = fm.occ
-        c_list = fm._C_list
-        sigma1 = fm.sigma + 1
+        sigma = fm.sigma
+        code_chars = self._code_chars
         sa_samples_get = fm._sa_samples.get
         n_text = csa.n
-        children = csa.children
-        code_chars = self._code_chars
-        row_live = plan.row_live_threshold
-        vector_min = self._VECTOR_MIN_FORKS
-        chain_min_age = self._CHAIN_MIN_AGE
-        chain_min_budget = self._CHAIN_MIN_BUDGET
         n_live = len(live_rows)
+        add = results.add
+        # A child cell is emitted (located) when it is a hit or, with the
+        # bitmask on, when it must be marked in G.
+        floor = h_thr if gbm is None else min(h_thr, sa)
+        # gain[col - 1, c - 1]: Eq. 3 step of query column col against code c.
+        gain = np.where(qcodes[:, None] == np.arange(1, sigma + 1), sa, sb)
 
+        # Level state: node ranges and chain ages, the NGR cohort as flat
+        # arrays sorted by (node, pip), and gap forks by node.
+        lo = np.array([rng[0] for rng, _forks in seeds], dtype=np.int64)
+        hi = np.array([rng[1] for rng, _forks in seeds], dtype=np.int64)
+        age = np.zeros(lo.size, dtype=np.int64)
+        nodes: list[int] = []
+        pips: list[int] = []
+        scores: list[int] = []
+        gaps: dict[int, list] = {}
+        for i, (_rng, forks) in enumerate(seeds):
+            seed_pips, seed_scores, seed_gaps = split_cohort(forks)
+            nodes += [i] * len(seed_pips)
+            pips += seed_pips
+            scores += seed_scores
+            if seed_gaps:
+                gaps[i] = seed_gaps
+        f_node = np.array(nodes, dtype=np.int64)
+        f_pip = np.array(pips, dtype=np.int64)
+        f_score = np.array(scores, dtype=np.int64)
+
+        depth = plan.q
         visited = 0
         x1_charged = 0
-        pips0, scores0, gaps0 = split_cohort(forks)
-        stack = [(rng[0], rng[1], plan.q, pips0, scores0, gaps0, 0)]
-        add_node = stack.append
-        while stack:
-            lo, hi, depth, pips, scores, gaps, chain_age = stack.pop()
-            while True:  # follow unary chains without stack round-trips
-                visited += 1
-                new_depth = depth + 1
-                if use_lf and new_depth > lmax:
-                    break
-                width = hi - lo
-                if (
-                    chain_age >= chain_min_age
-                    and width == 1
-                    and gbm is None
-                    and (not use_lf or lmax - depth >= chain_min_budget)
-                ):
-                    # An established chain leaves the FM-index for good: the
-                    # text itself drives the rest.  Chain stepping IS the LF
-                    # walk a locate would do, so when this row happens to be
-                    # a sampled one its text position comes for free.
-                    pos = sa_samples_get(lo)
-                    self._chain_text(
-                        lo, depth, pips, scores, gaps, query, vec_state,
-                        plan, h_thr, results, stats, counter, reuse,
-                        e=None if pos is None else n_text - pos,
-                    )
-                    break
+        while lo.size:
+            visited += lo.size
+            new_depth = depth + 1
+            if use_lf and new_depth > lmax:
+                break
+            live = (
+                live_rows[new_depth]
+                if new_depth < n_live
+                else plan.row_live_threshold(new_depth, use_sf)
+            )
+            width = hi - lo
+            # Forks whose diagonal already left the query die silently.
+            keep = f_pip + depth <= m
 
-                # Forks whose diagonal already left the query die silently
-                # (pips ascend, so the tail holds every such column).
-                while pips and pips[-1] + depth > m:
-                    pips.pop()
-                    scores.pop()
-                k = len(pips)
-                if not k and not gaps:
-                    break
-
-                live = (
-                    live_rows[new_depth]
-                    if new_depth < n_live
-                    else row_live(new_depth, use_sf)
+            # ---- established unary chains leave for text mode ----------
+            if gbm is None and (
+                not use_lf or lmax - depth >= self._CHAIN_MIN_BUDGET
+            ):
+                chains = np.flatnonzero(
+                    (age >= self._CHAIN_MIN_AGE) & (width == 1)
                 )
-
-                # ---- fused step for young unary chains ------------------
-                # The single child's code is a byte read; its SA range (one
-                # rank query) is paid only if the cohort survives into it.
-                if width == 1 and not gaps and k and k < vector_min:
-                    code1 = fm_bwt[lo]
-                    if not code1:
-                        break
-                    x1_charged += k
-                    child_rng = None
-                    ends = None
-                    child_pips = []
-                    child_scores = []
-                    child_gaps = []
-                    for pip, fscore in zip(pips, scores):
-                        col = pip + depth
-                        score = fscore + (
-                            sa if qlist[col - 1] == code1 else sb
+                if chains.size:
+                    firsts = np.searchsorted(f_node, chains).tolist()
+                    lasts = np.searchsorted(f_node, chains, "right").tolist()
+                    for i, a, b in zip(chains.tolist(), firsts, lasts):
+                        row = int(lo[i])
+                        # Chain stepping IS the LF walk a locate would do,
+                        # so a sampled row's text position comes for free.
+                        pos = sa_samples_get(row)
+                        self._chain_text(
+                            row, depth, f_pip[a:b].tolist(),
+                            f_score[a:b].tolist(), gaps.pop(i, []), query,
+                            vec_state, plan, h_thr, results, stats, counter,
+                            reuse, e=None if pos is None else n_text - pos,
                         )
-                        if use_sf:
-                            bound = h_budget - (m - col) * sa - 1
-                            if live > bound:
-                                bound = live
-                        else:
-                            bound = 0
-                        if score <= bound:
-                            continue
-                        if child_rng is None:
-                            base = c_list[code1] + occ(code1, lo)
-                            child_rng = (base, base + 1)
-                        if score > fgoe:
-                            ends = self._emit_fgoe_frontier(
-                                pip, score, bound, new_depth, child_rng,
-                                child_gaps, plan, h_thr, results, counter,
-                                gbm, ends,
-                            )
-                            continue
-                        child_pips.append(pip)
-                        child_scores.append(score)
-                        if score >= h_thr or (
-                            gbm is not None and score >= sa
-                        ):
-                            if ends is None:
-                                ends = self._locate_ends(child_rng)
-                            if score >= h_thr:
-                                for e in ends:
-                                    results.add(
-                                        e, col, score, e - new_depth + 1
-                                    )
-                            if gbm is not None and score >= sa:
-                                gbm.mark(ends, col)
-                    if not child_pips and not child_gaps:
-                        break
-                    lo, hi = child_rng
-                    pips, scores, gaps = child_pips, child_scores, child_gaps
-                    depth = new_depth
-                    chain_age += 1
-                    continue
+                        keep[a:b] = False
+            if not keep.all():
+                f_node, f_pip, f_score = f_node[keep], f_pip[keep], f_score[keep]
+            if not f_node.size and not gaps:
+                break
 
-                # ---- match-code probe (pure-NGR small cohorts) ----------
-                # If every fork dies on a mismatch (+sb), the only children
-                # that can carry survivors are the forks' match codes: the
-                # cohort advances once, the index is probed just for those
-                # codes (existence is a memchr against the BWT slice), and
-                # the dead-end children's exact x1 charges come from a bare
-                # distinct-code count.
-                if k and not gaps and width > 1 and k < vector_min:
-                    probe: dict | None = {}
-                    for pip, fscore in zip(pips, scores):
-                        col = pip + depth
-                        if use_sf:
-                            bound = h_budget - (m - col) * sa - 1
-                            if live > bound:
-                                bound = live
-                        else:
-                            bound = 0
-                        if fscore + sb > bound:
-                            probe = None  # a mismatch survives: probe all
-                            break
-                        mscore = fscore + sa
-                        if mscore > bound:
-                            mc = qlist[col - 1]
-                            lst = probe.get(mc)
-                            if lst is None:
-                                probe[mc] = lst = []
-                            lst.append((pip, mscore, bound))
-                    if probe is not None:
-                        seg = None
-                        if width > 2048:
-                            # A slice copy would dominate: one Occ-row pair.
-                            all_kids = children((lo, hi))
-                            d = len(all_kids)
-                            probed = [
-                                (code, rng_c)
-                                for code, rng_c in all_kids
-                                if code in probe
-                            ]
-                        else:
-                            seg = fm_bwt[lo:hi]
-                            d = 0
-                            for code in range(1, sigma1):
-                                if code in seg:
-                                    d += 1
-                            probed = [
-                                (code, None)
-                                for code in sorted(probe)
-                                if code in seg
-                            ]
-                        # Every existing child costs one Eq. 3 cell per fork
-                        # whether or not it carries a survivor.
-                        x1_charged += k * d
-                        for code, child_rng in probed:
-                            if child_rng is None:
-                                base = c_list[code] + occ(code, lo)
-                                child_rng = (base, base + seg.count(code))
-                            ends = None
-                            child_gaps: list = []
-                            child_pips: list = []
-                            child_scores: list = []
-                            for pip, mscore, bound in probe[code]:
-                                if mscore > fgoe:
-                                    ends = self._emit_fgoe_frontier(
-                                        pip, mscore, bound, new_depth,
-                                        child_rng, child_gaps, plan, h_thr,
-                                        results, counter, gbm, ends,
-                                    )
-                                    continue
-                                child_pips.append(pip)
-                                child_scores.append(mscore)
-                                if mscore >= h_thr or (
-                                    gbm is not None and mscore >= sa
-                                ):
-                                    if ends is None:
-                                        ends = self._locate_ends(child_rng)
-                                    if mscore >= h_thr:
-                                        col = pip + depth
-                                        for e in ends:
-                                            results.add(
-                                                e, col, mscore,
-                                                e - new_depth + 1,
-                                            )
-                                    if gbm is not None and mscore >= sa:
-                                        gbm.mark(ends, pip + depth)
-                            if child_pips or child_gaps:
-                                add_node(
-                                    (child_rng[0], child_rng[1], new_depth,
-                                     child_pips, child_scores, child_gaps, 0)
-                                )
-                        break  # every existing child is accounted for
+            # ---- every child range of the level: two gathers -----------
+            c_lo, c_hi = fm.extend_all(lo, hi)
+            exists = c_hi > c_lo
+            ends_cache: dict[int, list[int]] = {}
+            child_gaps: dict[int, list] = {}
 
-                # ---- child existence (no rank queries yet) --------------
-                # kids: (code, count, range-or-None) in ascending code
-                # order; a None range is resolved only if the child turns
-                # out to need one (survivors, emissions, or gap pushes).
-                if k >= vector_min:
-                    # The array cohort needs its ranges up front: take them
-                    # all at once (one Occ-row pair on wide nodes).
-                    kids = [
-                        (code, r[1] - r[0], r)
-                        for code, r in children((lo, hi))
-                    ]
-                    if not kids:
-                        break
-                elif width == 1:
-                    code1 = fm_bwt[lo]
-                    if not code1:
-                        break
-                    kids = ((code1, 1, None),)
-                elif width <= 8:
-                    seg = fm_bwt[lo:hi]
-                    code1 = seg[0]
-                    if seg.count(code1) == width:  # one distinct extension
-                        if not code1:
-                            break
-                        kids = ((code1, width, None),)
-                    else:
-                        kids = [
-                            (c, seg.count(c), None)
-                            for c in sorted(set(seg))
-                            if c
-                        ]
-                else:
-                    counts = np.bincount(
-                        fm_bwt_arr[lo:hi], minlength=sigma1
-                    ).tolist()
-                    kids = [
-                        (c, counts[c], None)
-                        for c in range(1, sigma1)
-                        if counts[c]
-                    ]
-                    if not kids:
-                        break
-
-                pips_a = qc = bounds = scores_a = None
-                if k >= vector_min:
-                    pips_a = np.array(pips, dtype=np.int64)
-                    scores_a = np.array(scores, dtype=np.int64)
-                    cols_a = pips_a + depth
-                    qc = qcodes[cols_a - 1]
-                    bounds = (
-                        np.maximum(live, h_budget - (m - cols_a) * sa - 1)
-                        if use_sf
-                        else 0
+            def emit(key: int, col: int, score: int) -> None:
+                """Record one cell of child ``key`` at every occurrence."""
+                ends = ends_cache.get(key)
+                if ends is None:
+                    node, code = divmod(key, sigma)
+                    ends = ends_cache[key] = self._locate_ends(
+                        (int(c_lo[node, code]), int(c_hi[node, code]))
                     )
+                if score >= h_thr:
+                    start = new_depth - 1
+                    for e in ends:
+                        add(e, col, score, e - start)
+                if gbm is not None and score >= sa:
+                    gbm.mark(ends, col)
 
-                descend = None  # the single child of a chain node survives
-                for code, count, child_rng in kids:
-                    ends: list | None = None
-                    child_gaps: list = []
-                    if pips_a is not None:
-                        # ---- array cohort advance: one gather + mask ----
-                        x1_charged += k
-                        snew = scores_a + np.where(qc == code, sa, sb)
-                        keep = snew > bounds
-                        if keep.any():
-                            over = keep & (snew > fgoe)
-                            if over.any():
-                                stay = keep & ~over
-                                for i in np.nonzero(over)[0].tolist():
-                                    ends = self._emit_fgoe_frontier(
-                                        pips[i], int(snew[i]),
-                                        int(bounds[i]) if use_sf else 0,
-                                        new_depth, child_rng, child_gaps,
-                                        plan, h_thr, results, counter, gbm,
-                                        ends,
-                                    )
-                            else:
-                                stay = keep
-                            child_pips = pips_a[stay].tolist()
-                            child_scores = snew[stay].tolist()
-                            if child_scores:
-                                best = max(child_scores)
-                                if best >= h_thr or (
-                                    gbm is not None and best >= sa
-                                ):
-                                    if ends is None:
-                                        ends = self._locate_ends(child_rng)
-                                    starts = [
-                                        e - new_depth + 1 for e in ends
-                                    ]
-                                    for pip_i, score_i in zip(
-                                        child_pips, child_scores
-                                    ):
-                                        col_i = pip_i + new_depth - 1
-                                        if score_i >= h_thr:
-                                            results.add_batch(
-                                                ends, col_i, score_i, starts
-                                            )
-                                        if gbm is not None and score_i >= sa:
-                                            gbm.mark(ends, col_i)
-                        else:
-                            child_pips = []
-                            child_scores = []
+            # ---- the level's NGR cohort, one (fork, child) grid ---------
+            stay_key = stay_pip = stay_score = f_node[:0]
+            if f_node.size:
+                # Every existing child costs one Eq. 3 cell per fork.
+                x1_charged += int(exists.sum(axis=1)[f_node].sum())
+                col = f_pip + depth  # the diagonal's column in the child row
+                bound = (
+                    np.maximum(h_budget - 1 - (m - col) * sa, live)
+                    if use_sf
+                    else np.zeros_like(col)
+                )
+                # A fork that dies even on a match has no child at all.
+                cand = np.flatnonzero(f_score + sa > bound)
+                if cand.size:
+                    child = f_score[cand, None] + gain[col[cand] - 1]
+                    ok = (child > bound[cand, None]) & exists[f_node[cand]]
+                    row, code = np.nonzero(ok)
+                    key = f_node[cand[row]] * sigma + code
+                    # Group by child, keeping pip order within each child:
+                    # rows ascend, so sorting the unique (key, row) pairs
+                    # gives the stable order.  (NumPy 2.4's stable argsort
+                    # grew the heap over ever-changing input lengths.)
+                    order = np.argsort(key * row.size + np.arange(row.size))
+                    key = key[order]
+                    src = cand[row[order]]
+                    score = child[row[order], code[order]]
+                    over = score > fgoe
+                    if over.any():
+                        # FGOE crossings open gap cones (per fork).
+                        for t in np.flatnonzero(over).tolist():
+                            k = int(key[t])
+                            f = int(src[t])
+                            pip = int(f_pip[f])
+                            frontier = fgoe_row_frontier(
+                                int(score[t]), pip + depth, m, scheme,
+                                int(bound[f]), counter,
+                            )
+                            child_gaps.setdefault(k, []).append((pip, frontier))
+                            for ccol, (m_val, _ga) in frontier.items():
+                                if m_val >= floor:
+                                    emit(k, ccol, m_val)
+                        stay = ~over
+                        key, src, score = key[stay], src[stay], score[stay]
+                    for t in np.flatnonzero(score >= floor).tolist():
+                        f = int(src[t])
+                        emit(int(key[t]), int(f_pip[f]) + depth, int(score[t]))
+                    stay_key, stay_pip, stay_score = key, f_pip[src], score
+
+            # ---- gap-phase forks, per node and child --------------------
+            gap_nodes = list(gaps)
+            kids = exists[gap_nodes].tolist() if gap_nodes else []
+            for i, node_kids in zip(gap_nodes, kids):
+                node_gaps = gaps[i]
+                frontiers = [frontier for _pip, frontier in node_gaps]
+                for code, present in enumerate(node_kids):
+                    if not present:
+                        continue
+                    k = i * sigma + code
+                    char = code_chars[code + 1]
+                    if reuse.enabled and len(frontiers) > 1:
+                        new_frontiers = reuse.advance_forks(
+                            frontiers, char, query, m, scheme, live, counter,
+                        )
                     else:
-                        # ---- scalar cohort advance (same code points) ---
-                        child_pips = []
-                        child_scores = []
-                        x1_charged += k
-                        for pip, fscore in zip(pips, scores):
-                            col = pip + depth
-                            score = fscore + (
-                                sa if qlist[col - 1] == code else sb
-                            )
-                            if use_sf:
-                                bound = h_budget - (m - col) * sa - 1
-                                if live > bound:
-                                    bound = live
-                            else:
-                                bound = 0
-                            if score <= bound:
-                                continue
-                            if child_rng is None:
-                                base = c_list[code] + occ(code, lo)
-                                child_rng = (base, base + count)
-                            if score > fgoe:
-                                ends = self._emit_fgoe_frontier(
-                                    pip, score, bound, new_depth, child_rng,
-                                    child_gaps, plan, h_thr, results,
-                                    counter, gbm, ends,
-                                )
-                                continue
-                            child_pips.append(pip)
-                            child_scores.append(score)
-                            if score >= h_thr or (
-                                gbm is not None and score >= sa
-                            ):
-                                if ends is None:
-                                    ends = self._locate_ends(child_rng)
-                                if score >= h_thr:
-                                    for e in ends:
-                                        results.add(
-                                            e, col, score, e - new_depth + 1
-                                        )
-                                if gbm is not None and score >= sa:
-                                    gbm.mark(ends, col)
+                        # A lone fork (or disabled engine) cannot share
+                        # anything; skip the grouping machinery.
+                        new_frontiers = [
+                            advance_row(fr, char, query, m, scheme, live, counter)
+                            for fr in frontiers
+                        ]
+                    for (gap_pip, _old), frontier in zip(node_gaps, new_frontiers):
+                        if not frontier:
+                            continue
+                        for j, (m_val, _ga) in frontier.items():
+                            # Defense in depth: phantom cells past column m
+                            # (a bad reuse copy) must never become hits.
+                            if j <= m and m_val >= floor:
+                                emit(k, j, m_val)
+                        child_gaps.setdefault(k, []).append((gap_pip, frontier))
 
-                    if gaps:
-                        char = code_chars[code]
-                        if reuse.enabled and len(gaps) > 1:
-                            new_frontiers = reuse.advance_forks(
-                                [frontier for _pip, frontier in gaps], char,
-                                query, m, scheme, live, counter,
-                            )
-                        else:
-                            # A lone fork (or disabled engine) cannot share
-                            # anything; skip the grouping machinery.
-                            new_frontiers = [
-                                advance_row(
-                                    frontier, char, query, m, scheme, live,
-                                    counter,
-                                )
-                                for _pip, frontier in gaps
-                            ]
-                        for (gap_pip, _old), frontier in zip(
-                            gaps, new_frontiers
-                        ):
-                            if not frontier:
-                                continue
-                            for j, (m_val, _ga) in frontier.items():
-                                # Defense in depth: phantom cells past
-                                # column m (a bad reuse copy) must never
-                                # become hits with p_end > len(query).
-                                if j > m:
-                                    continue
-                                if m_val >= h_thr or (
-                                    gbm is not None and m_val >= sa
-                                ):
-                                    if ends is None:
-                                        if child_rng is None:
-                                            base = c_list[code] + occ(
-                                                code, lo
-                                            )
-                                            child_rng = (base, base + count)
-                                        ends = self._locate_ends(child_rng)
-                                    if m_val >= h_thr:
-                                        for e in ends:
-                                            results.add(
-                                                e, j, m_val,
-                                                e - new_depth + 1,
-                                            )
-                                    if gbm is not None and m_val >= sa:
-                                        gbm.mark(ends, j)
-                            child_gaps.append((gap_pip, frontier))
-                    if child_pips or child_gaps:
-                        if child_rng is None:
-                            base = c_list[code] + occ(code, lo)
-                            child_rng = (base, base + count)
-                        if width == 1:
-                            descend = (child_rng, child_pips, child_scores,
-                                       child_gaps)
-                        else:
-                            add_node(
-                                (child_rng[0], child_rng[1], new_depth,
-                                 child_pips, child_scores, child_gaps, 0)
-                            )
-                if descend is None:
-                    break
-                child_rng, pips, scores, gaps = descend
-                lo, hi = child_rng
-                depth = new_depth
-                chain_age += 1
+            # ---- the next level: every child with a surviving fork ------
+            keys = stay_key
+            if child_gaps:
+                gap_keys = np.fromiter(child_gaps, np.int64, len(child_gaps))
+                keys = np.concatenate((keys, gap_keys))
+                keys.sort()
+            if keys.size > 1:  # sorted: keep the first of each run
+                fresh = np.empty(keys.size, dtype=bool)
+                fresh[0] = True
+                np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+                keys = keys[fresh]
+            gaps = (
+                dict(zip(np.searchsorted(keys, gap_keys).tolist(),
+                         child_gaps.values()))
+                if child_gaps
+                else {}
+            )
+            parent = keys // sigma
+            lo = np.take(c_lo, keys)
+            hi = np.take(c_hi, keys)
+            age = np.where(np.take(width, parent) == 1, np.take(age, parent) + 1, 0)
+            f_node = np.searchsorted(keys, stay_key)
+            f_pip, f_score = stay_pip, stay_score
+            depth = new_depth
         stats.nodes_visited += visited
         counter.x1 += x1_charged
-
-    def _emit_fgoe_frontier(
-        self,
-        pip: int,
-        score: int,
-        bound: int,
-        new_depth: int,
-        child_rng: tuple[int, int],
-        child_gaps: list,
-        plan: FilterPlan,
-        h_thr: int,
-        results: ResultSet,
-        counter: CostCounter,
-        gbm: GlobalBitMatrix | None,
-        ends: list | None,
-    ) -> list | None:
-        """FGOE transition of one fork: build the row tail, emit its hits.
-
-        Returns the (possibly just-located) end-position list so the caller
-        keeps its lazy locate across forks of the same child.
-        """
-        frontier = fgoe_row_frontier(
-            score, pip + new_depth - 1, plan.m, self.scheme, bound, counter
-        )
-        child_gaps.append((pip, frontier))
-        sa = self.scheme.sa
-        for ccol, (m_val, _ga) in frontier.items():
-            if m_val >= h_thr or (gbm is not None and m_val >= sa):
-                if ends is None:
-                    ends = self._locate_ends(child_rng)
-                if m_val >= h_thr:
-                    for e in ends:
-                        results.add(e, ccol, m_val, e - new_depth + 1)
-                if gbm is not None and m_val >= sa:
-                    gbm.mark(ends, ccol)
-        return ends
 
     def _locate_ends(self, child_rng: tuple[int, int]) -> list[int]:
         """End positions of a child range as a list (batched when wide).
@@ -960,10 +706,10 @@ class ALAE:
         stretches are scored by the vectorized diagonal run
         (:meth:`_chain_run`); gap cones step row by row through the shared
         sparse DP.  The chain is consumed to cohort death, text end or the
-        depth cap; nothing is ever pushed back on the caller's stack.
-        Accounting is bit-identical to the generic traversal (asserted by
-        the differential fuzz suite).  Only entered with the global bitmap
-        filter off (its marks need per-row locates the generic path does).
+        depth cap; nothing returns to the sweep's next level.  Accounting is
+        bit-identical to the sweep (asserted by the differential fuzz
+        suite).  Only entered with the global bitmap filter off (its marks
+        need per-row locates the sweep does).
         """
         qcodes, qlist, live_rows = vec_state
         csa = self.csa
@@ -978,7 +724,7 @@ class ALAE:
         row_live = plan.row_live_threshold
         n_live = len(live_rows)
         n = csa.n
-        tlist = csa.text_code_list()
+        tlist = csa.text_code_bytes()
         if e is None:
             e = csa.end_positions((lo, lo + 1))[0]
         visited = 0

@@ -60,7 +60,7 @@ class Fork:
 def split_cohort(
     forks: "list[Fork]",
 ) -> tuple[list[int], list[int], list[tuple[int, Frontier]]]:
-    """Partition seed forks into the vectorized traversal's cohort form.
+    """Partition seed forks into the level sweep's cohort form.
 
     Returns ``(pips, scores, gaps)``: the NGR cohort as parallel pip/score
     lists (ascending pips — seeds arrive in column order) plus the gap

@@ -6,12 +6,14 @@ the paper, we build the FM-index of the reversed text ``T^-1``: appending
 ``c`` to ``X`` prepends ``c`` to ``X^-1``, which is exactly one backward-search
 step.  The three trie operations of Sec. 5 map to:
 
-1. *exact q-gram membership* -> :meth:`range_of` (O(q) backward steps);
+1. *exact q-gram membership* -> :meth:`range_of` (O(q) backward steps), or
+   :meth:`ranges_of` for every q-gram of a query at once;
 2. *occurrence end positions* -> :meth:`end_positions` (an occurrence of
    ``X^-1`` starting at position ``p`` of ``T^-1`` is an occurrence of ``X``
    **ending** at position ``n - 1 - p`` of ``T``, 0-based);
 3. *subtree traversal* -> :meth:`extend` per alphabet character, non-empty
-   ranges being the existing trie edges.
+   ranges being the existing trie edges (the engine's level sweep takes
+   every edge of many nodes at once through :meth:`FMIndex.extend_all`).
 """
 
 from __future__ import annotations
@@ -96,66 +98,33 @@ class ReversedTextIndex:
         """``(char, code)`` pairs accepted by :meth:`extend_code`."""
         return [(c, i + 1) for i, c in enumerate(self.alphabet.chars)]
 
-    def children(self, rng: tuple[int, int]) -> list[tuple[int, tuple[int, int]]]:
-        """All existing trie edges under a node as ``(code, child_range)``.
+    def text_code_bytes(self) -> bytes:
+        """The text as shifted code points (``alphabet code + 1``), cached.
 
-        The vectorized traversal's replacement for ``sigma`` per-character
-        :meth:`extend_code` probes: a size-1 range names its unique child
-        directly (``bwt[lo]``), and wider ranges get every child range from
-        one pair of Occ-row lookups (:meth:`FMIndex.children_ranges`).
-        Codes are ``alphabet code + 1`` in ascending (= alphabetical) order,
-        matching the per-character probe order of the scalar traversal.
+        Built lazily: text-mode chains read one character per row, and
+        indexing ``bytes`` yields a plain int as fast as a list would, at
+        one byte per character instead of a pointer.
         """
-        lo, hi = rng
-        fm = self._fm
-        if hi - lo == 1:
-            code, child = fm.single_child(lo)
-            return [(code, child)] if code else []
-        if hi <= lo:
-            return []
-        if hi - lo <= 8:
-            return fm.children_small(lo, hi)
-        lo_all, hi_all = fm.children_ranges(rng)
-        lo_list = lo_all.tolist()
-        hi_list = hi_all.tolist()
-        return [
-            (code, (lo_list[code], hi_list[code]))
-            for code in range(1, fm.sigma + 1)
-            if hi_list[code] > lo_list[code]
-        ]
+        codes = getattr(self, "_text_code_bytes", None)
+        if codes is None:
+            codes = (self.alphabet.encode(self.text) + np.uint8(1)).tobytes()
+            self._text_code_bytes = codes
+        return codes
 
     def text_codes(self) -> np.ndarray:
-        """The text as shifted code points (``alphabet code + 1``, uint8).
+        """:meth:`text_code_bytes` as a read-only ``uint8`` view (no copy).
 
-        Built lazily and cached: the unary-chain diagonal runs of the
-        vectorized engine read upcoming text characters straight from this
-        array instead of stepping the FM-index once per character.
+        The unary-chain diagonal runs gather upcoming text characters from
+        it instead of stepping the FM-index once per character.
         """
-        codes = getattr(self, "_text_codes", None)
-        if codes is None:
-            codes = self.alphabet.encode(self.text) + np.uint8(1)
-            self._text_codes = codes
-        return codes
-
-    def text_code_list(self) -> list[int]:
-        """:meth:`text_codes` as a cached plain list (O(1) scalar reads).
-
-        The text-mode chain walk reads one character per row; plain list
-        indexing beats numpy scalar extraction by an order of magnitude
-        there.
-        """
-        codes = getattr(self, "_text_code_list", None)
-        if codes is None:
-            codes = self.text_codes().tolist()
-            self._text_code_list = codes
-        return codes
+        return np.frombuffer(self.text_code_bytes(), dtype=np.uint8)
 
     def query_codes(self, query: str) -> np.ndarray:
         """``query`` as shifted code points (``alphabet code + 1``).
 
-        Matches the code space of :meth:`children` /:meth:`extend_code`, so
-        the engine's per-fork character comparisons become integer array
-        compares against a child's code.
+        Matches the code space of :meth:`extend_code` and
+        :meth:`FMIndex.extend_all`, so the engine's per-fork character
+        comparisons become integer array compares against a child's code.
         """
         return self.alphabet.encode(query).astype(np.int64) + 1
 
@@ -167,6 +136,21 @@ class ReversedTextIndex:
             if rng == EMPTY_RANGE:
                 return EMPTY_RANGE
         return rng
+
+    def ranges_of(self, substrings: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`range_of` for many equal-length substrings at once.
+
+        Returns parallel ``(lo, hi)`` arrays; absent substrings get
+        :data:`EMPTY_RANGE`.  A length-``q`` batch costs ``q`` batched
+        backward-search steps, not ``q`` per substring.
+        """
+        if not substrings:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        codes = self.alphabet.encode("".join(substrings)).astype(np.intp) + 1
+        codes = codes.reshape(len(substrings), -1)
+        # Appending a character to X prepends it to the reversed pattern.
+        return self._fm.backward_search_all(codes[:, ::-1])
 
     def contains(self, substring: str) -> bool:
         """Whether ``substring`` occurs in the text."""

@@ -4,8 +4,12 @@ Combines the BWT with
 
 * the ``C`` array (``C[c]`` = number of characters smaller than ``c``),
 * checkpointed occurrence counts ``Occ(c, i)`` (one checkpoint row every
-  ``occ_block`` positions; the remainder is counted on demand inside the
-  block), and
+  ``occ_block`` positions), the part of the index a store serializes,
+* a resident rank table built from the BWT whenever an index is constructed
+  or opened and never written to disk: for every position and every code
+  ``1..sigma`` one ``uint8`` count of that code since the last checkpoint,
+  so ``Occ(c, i)`` is two lookups, and a batch of ranks is two gathers
+  (:meth:`FMIndex.step_array`, :meth:`FMIndex.extend_all`), and
 * a sampled suffix array for ``locate`` (every ``sa_sample``-th text position
   is kept; other positions walk the LF mapping until a sample is hit).
 
@@ -30,6 +34,13 @@ from repro.index.bwt import bwt_transform
 
 #: An empty SA range.
 EMPTY = (0, 0)
+
+#: Widest checkpoint span the rank table's ``uint8`` counts can cover: a
+#: count since the last checkpoint never exceeds ``span - 1``.
+RANK_SPAN_MAX = 256
+#: Table rows filled per build pass; bounds the build's temporaries to a
+#: few hundred KiB whatever the text length.
+_RANK_CHUNK = 1 << 14
 
 
 class FMIndex:
@@ -69,10 +80,8 @@ class FMIndex:
         bwt, sa = bwt_transform(codes)
         if sigma > 255:
             raise IndexError_("alphabets larger than 255 are not supported")
-        # The BWT is kept as a bytes object: rank queries then reduce to the
-        # C-speed bytes.count, which dominates backward-search performance.
-        # The uint8 array view over the same buffer feeds the vectorized
-        # paths (children_ranges, batched locate) without a copy.
+        # The BWT is kept as a bytes object (O(1) scalar reads) with a uint8
+        # array view over the same buffer for the batched paths.
         self._bwt = bytes(bwt.astype(np.uint8))
         self._bwt_arr = np.frombuffer(self._bwt, dtype=np.uint8)
         self._sa_pos: np.ndarray | None = None
@@ -89,9 +98,7 @@ class FMIndex:
         for b in range(1, nblocks):
             lo, hi = (b - 1) * self._occ_block, b * self._occ_block
             ckpt[b] = ckpt[b - 1] + np.bincount(bwt[lo:hi], minlength=sigma + 1)
-        # Plain nested lists beat numpy scalar indexing in the hot path.
         self._occ_ckpt = ckpt
-        self._occ_rows: list[list[int]] = ckpt.tolist()
 
         # Sampled SA: keep entries whose *text position* is a multiple of the
         # sample rate; store row -> position in a dict for O(1) hits.
@@ -99,6 +106,7 @@ class FMIndex:
         self._sa_samples = dict(
             zip(np.nonzero(mask)[0].tolist(), sa[mask].tolist())
         )
+        self._build_rank()
 
     # -------------------------------------------------------- serialization
     @classmethod
@@ -118,8 +126,8 @@ class FMIndex:
 
         The expensive suffix-array construction is skipped entirely; the
         remaining cost is materialising the hot-path representations (the
-        BWT byte string, checkpoint row lists and the sampled-SA dict) from
-        the given arrays, which may be read-only ``numpy.memmap`` views —
+        BWT byte string, the rank table and the sampled-SA dict) from the
+        given arrays, which may be read-only ``numpy.memmap`` views —
         loading them is a sequential page-in, not a rebuild.
         """
         fm = cls.__new__(cls)
@@ -146,14 +154,67 @@ class FMIndex:
             raise IndexError_("sampled-SA rows and positions differ in length")
         fm._C_list = fm._C.tolist()
         fm._occ_ckpt = occ_ckpt
-        fm._occ_rows = occ_ckpt.tolist()
         fm._sa_samples = dict(
             zip(
                 np.asarray(sa_rows, dtype=np.int64).tolist(),
                 np.asarray(sa_positions, dtype=np.int64).tolist(),
             )
         )
+        fm._build_rank()
         return fm
+
+    def _build_rank(self) -> None:
+        """Build the resident rank table from the BWT (never serialized).
+
+        With span ``s = min(occ_block, RANK_SPAN_MAX)``, row ``i`` of the
+        table holds, for codes ``1..sigma``, the count of that code in
+        ``bwt[s * (i // s) : i]`` as one ``uint8``; adding checkpoint row
+        ``i // s`` gives ``Occ(c, i)``.  Those checkpoints are resident too,
+        derived from the table for every span, so rank never reads the
+        stored (possibly memory-mapped) checkpoints.  The table costs
+        ``(n + 2) * sigma`` bytes and is filled in chunks, so the build
+        allocates no full-length temporaries; the checkpoints and a copy
+        with ``C`` folded in for the batched paths cost ``16 * sigma``
+        bytes per span.
+        """
+        sigma = self.sigma
+        size = self.n + 1
+        span = min(self._occ_block, RANK_SPAN_MAX)
+        rows = size + 1  # Occ is defined for every i in [0, size]
+        table = bytearray(rows * sigma)
+        view = np.frombuffer(table, dtype=np.uint8).reshape(rows, sigma)
+        codes = np.arange(1, sigma + 1, dtype=np.uint8)
+        chunk = -(-_RANK_CHUNK // span) * span  # whole spans per pass
+        for start in range(0, rows, chunk):
+            stop = min(start + chunk, rows)
+            spans = -(-(stop - start) // span)
+            seg = np.zeros(spans * span, dtype=np.uint8)  # pad: sentinel code
+            part = self._bwt_arr[start:size][: stop - start]
+            seg[: part.size] = part
+            # Row r of a span counts the rows before it: shift the one-hot
+            # rows down by one, then a running sum within each span.
+            counts = np.zeros((spans, span, sigma), dtype=np.uint8)
+            before = seg.reshape(spans, span)[:, :-1, None]
+            counts[:, 1:] = before == codes
+            np.cumsum(counts, axis=1, dtype=np.uint8, out=counts)
+            view[start:stop] = counts.reshape(-1, sigma)[: stop - start]
+        self._sentinel = self._bwt.index(0)
+        # Checkpoint b counts codes 1..sigma in bwt[0 : b * span]: the last
+        # row of each span plus that row's own character, summed over spans.
+        marks = np.arange(span, size + 1, span)
+        last = marks - 1
+        per_span = view[last].astype(np.int64)
+        per_span += self._bwt_arr[last, None] == codes
+        ckpt = np.zeros((marks.size + 1, sigma), dtype=np.int64)
+        np.cumsum(per_span, axis=0, out=ckpt[1:])
+        self._rank_span = span
+        # Scalar rank reads the checkpoints through a memoryview: Python
+        # ints without a per-entry int object resident.
+        self._rank_ckpt = memoryview(ckpt)
+        # The batched paths all want C[c] + Occ(c, i): fold C in once.
+        self._step_ckpt = ckpt + self._C[1 : sigma + 1]
+        self._rank = table
+        self._rank_arr = view
 
     def components(self) -> "dict[str, np.ndarray]":
         """Export every array a store needs to rebuild this index.
@@ -176,13 +237,25 @@ class FMIndex:
     # ------------------------------------------------------------------ rank
     def occ(self, c: int, i: int) -> int:
         """Number of occurrences of code ``c`` in ``bwt[0:i]``."""
-        block = self._occ_block
-        b = i // block
-        base = self._occ_rows[b][c]
-        lo = b * block
-        if lo == i:
-            return base
-        return base + self._bwt.count(c, lo, i)
+        if not c:  # the sentinel occurs once, at row ``_sentinel``
+            return 1 if i > self._sentinel else 0
+        return (
+            self._rank_ckpt[i // self._rank_span, c - 1]
+            + self._rank[i * self.sigma + c - 1]
+        )
+
+    def step_array(self, codes: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``C[c] + Occ(c, i)`` for every pair ``(codes[k], positions[k])``.
+
+        The batched LF / backward-search step (codes ``>= 1``): one
+        checkpoint gather plus one rank-table gather, whatever the number
+        of pairs.
+        """
+        sigma = self.sigma
+        col = codes - 1
+        return np.take(
+            self._step_ckpt, positions // self._rank_span * sigma + col
+        ) + np.take(self._rank_arr, positions * sigma + col)
 
     def lf(self, i: int) -> int:
         """LF mapping: row of the suffix starting one position earlier."""
@@ -206,74 +279,22 @@ class FMIndex:
             return EMPTY
         return (new_lo, new_hi)
 
-    def occ_row(self, i: int) -> np.ndarray:
-        """``Occ(c, i)`` for every code ``c`` in ``[0, sigma]`` at once.
-
-        One checkpoint-row fetch plus a single ``bincount`` over the block
-        remainder replaces ``sigma + 1`` scalar :meth:`occ` calls.
-        """
-        block = self._occ_block
-        b = i // block
-        row = self._occ_ckpt[b]
-        lo = b * block
-        if lo == i:
-            return row
-        return row + np.bincount(self._bwt_arr[lo:i], minlength=self.sigma + 1)
-
-    def children_ranges(
-        self, rng: tuple[int, int]
+    def extend_all(
+        self, lo: np.ndarray, hi: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """SA ranges of ``c + pattern`` for every code ``c`` at once.
+        """Backward-search steps for many ranges and every code at once.
 
-        Returns ``(lo_all, hi_all)`` arrays indexed by code: the range of
-        code ``c``'s extension is ``(lo_all[c], hi_all[c])`` (empty when
-        ``hi <= lo``).  Computed from one pair of Occ-row lookups instead of
-        ``sigma`` :meth:`extend_left` calls (two rank queries each), which
-        is what the suffix-trie traversal pays per visited node.  Index 0 is
-        the sentinel's pseudo-extension and is never a real trie edge.
+        ``lo``/``hi`` are parallel arrays of half-open SA ranges.  Returns
+        ``(lo_all, hi_all)`` shaped ``(len(lo), sigma)``: column ``c - 1``
+        holds the range of ``c + pattern`` (empty where ``hi <= lo``).  The
+        sentinel is never an extension, so it has no column.
         """
-        lo, hi = rng
-        c_lead = self._C[: self.sigma + 1]
-        lo_all = c_lead + self.occ_row(lo)
-        hi_all = c_lead + self.occ_row(hi)
+        span = self._rank_span
+        step = self._step_ckpt
+        table = self._rank_arr
+        lo_all = np.take(step, lo // span, axis=0) + np.take(table, lo, axis=0)
+        hi_all = np.take(step, hi // span, axis=0) + np.take(table, hi, axis=0)
         return lo_all, hi_all
-
-    def children_small(
-        self, lo: int, hi: int
-    ) -> list[tuple[int, tuple[int, int]]]:
-        """Children of a narrow range by scanning its BWT slice directly.
-
-        The distinct codes in ``bwt[lo:hi]`` are exactly the left-extensions
-        of the range's pattern, and each child's width is that code's count
-        in the slice — so a narrow node needs one rank query per *present*
-        child (typically 1-2 deep in the trie) instead of a full Occ-row
-        pair.  Caller guarantees ``hi - lo`` is small; results are identical
-        to :meth:`children_ranges`.
-        """
-        seg = self._bwt[lo:hi]
-        c_list = self._C_list
-        out = []
-        for c in sorted(set(seg)):
-            if c == 0:
-                continue
-            new_lo = c_list[c] + self.occ(c, lo)
-            out.append((c, (new_lo, new_lo + seg.count(c))))
-        return out
-
-    def single_child(self, lo: int) -> tuple[int, tuple[int, int]]:
-        """The unique extension of a size-1 SA range ``[lo, lo + 1)``.
-
-        A pattern with exactly one occurrence has at most one left-extension
-        and its code is simply ``bwt[lo]`` — no rank query is needed to
-        *discover* it, and one suffices to place it.  Returns ``(code,
-        range)``; code 0 means the occurrence starts the text (sentinel), so
-        there is no extension.
-        """
-        c = self._bwt[lo]
-        if c == 0:
-            return 0, EMPTY
-        new_lo = self._C_list[c] + self.occ(c, lo)
-        return c, (new_lo, new_lo + 1)
 
     def full_range(self) -> tuple[int, int]:
         """SA range of the empty pattern (every suffix)."""
@@ -287,6 +308,28 @@ class FMIndex:
             if rng == EMPTY:
                 return EMPTY
         return rng
+
+    def backward_search_all(
+        self, patterns: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """SA ranges of equal-length patterns (one per row of ``patterns``).
+
+        Batched :meth:`backward_search`: one rank-table gather per pattern
+        column for all rows at once.  Returns parallel ``(lo, hi)`` arrays;
+        absent patterns come back as the empty range ``(0, 0)``.
+        """
+        patterns = np.asarray(patterns, dtype=np.intp)
+        rows = patterns.shape[0]
+        lo = np.zeros(rows, dtype=np.int64)
+        hi = np.full(rows, self.n + 1, dtype=np.int64)
+        # Occ is monotone, so a range that empties stays empty (hi <= lo).
+        for c in patterns.T[::-1]:
+            lo = self.step_array(c, lo)
+            hi = self.step_array(c, hi)
+        empty = hi <= lo
+        lo[empty] = 0
+        hi[empty] = 0
+        return lo, hi
 
     def count(self, pattern: np.ndarray) -> int:
         """Number of occurrences of ``pattern`` in the text."""
@@ -332,26 +375,21 @@ class FMIndex:
 
         Wide ranges walk the LF mapping for *all* unresolved rows per
         iteration: one gather against the dense sampled-SA array resolves
-        the rows that hit a sample, one batched LF step (checkpoint-row
-        gather + in-block mask count) advances the rest.  Narrow ranges
-        fall back to the scalar :meth:`locate_row` walk, which is cheaper
-        below ``_BATCH_LOCATE_MIN`` rows; results are identical.
+        the rows that hit a sample, and one batched LF step (a gather
+        through the rank table) advances the rest.  Narrow ranges fall back
+        to the scalar :meth:`locate_row` walk, which is cheaper below
+        ``_BATCH_LOCATE_MIN`` rows; results are identical.
         """
         lo, hi = rng
         count = hi - lo
         if count <= 0:
             return np.empty(0, dtype=np.int64)
-        if count < self._BATCH_LOCATE_MIN or self._occ_block > 4096:
+        if count < self._BATCH_LOCATE_MIN:
             return np.array(
                 [self.locate_row(r) for r in range(lo, hi)], dtype=np.int64
             )
-        size = self.n + 1
         sa_pos = self._sa_pos_array()
-        block = self._occ_block
         bwt_arr = self._bwt_arr
-        ckpt = self._occ_ckpt
-        c_arr = self._C
-        in_block = np.arange(block, dtype=np.int64)
         rows = np.arange(lo, hi, dtype=np.int64)
         out = np.empty(count, dtype=np.int64)
         pending = np.arange(count)
@@ -368,23 +406,17 @@ class FMIndex:
                     break
                 r = r[keep]
             # Batched LF: rows[p] <- C[c] + Occ(c, row) for c = bwt[row].
-            c = bwt_arr[r].astype(np.int64)
-            b = r // block
-            starts = b * block
-            offs = starts[:, None] + in_block[None, :]
-            np.minimum(offs, size - 1, out=offs)
-            rem = ((bwt_arr[offs] == c[:, None]) & (offs < r[:, None])).sum(
-                axis=1
-            )
-            rows[pending] = c_arr[c] + ckpt[b, c] + rem
+            # The sentinel's row is always sampled (its suffix starts at
+            # text position 0), so every pending row holds a real code.
+            rows[pending] = self.step_array(bwt_arr[r].astype(np.intp), r)
             steps += 1
-        out %= size
+        out %= self.n + 1
         return out
 
     def locate(self, rng: tuple[int, int]) -> list[int]:
         """Text positions of every suffix in the SA range ``[lo, hi)``."""
         lo, hi = rng
-        if hi - lo < self._BATCH_LOCATE_MIN or self._occ_block > 4096:
+        if hi - lo < self._BATCH_LOCATE_MIN:
             return [self.locate_row(r) for r in range(lo, hi)]
         return self.locate_array(rng).tolist()
 

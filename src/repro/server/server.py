@@ -19,8 +19,8 @@ length-prefixed JSON protocol of :mod:`repro.server.protocol`:
   batches drain, the service is reopened, the cache is invalidated, and
   the generation counter bumps — clients never see a mixed-index batch;
 * ``stats`` reports qps, latency percentiles, cache hit rate, queue depth,
-  batch shape and reload generation; ``ping`` / ``reload`` / ``shutdown``
-  round out the ops.
+  batch shape, reload generation and failed reload polls (count and last
+  error); ``ping`` / ``reload`` / ``shutdown`` round out the ops.
 
 Served hits are bit-identical to the offline ``search-db --index`` path:
 the server calls the very same service layer, it just keeps it resident.
@@ -104,6 +104,10 @@ _QUEUE_EWMA = Gauge(
 _OVERLOADED_TOTAL = Counter(
     "repro_server_overloaded_total",
     "Search requests rejected by admission control",
+)
+_RELOAD_FAILURES_TOTAL = Counter(
+    "repro_server_reload_failures_total",
+    "Hot-reload polls that failed (the old generation kept serving)",
 )
 
 #: Ops get their own label value; anything else is folded into "unknown" so
@@ -259,6 +263,7 @@ class SearchServer:
         self._metrics_port = metrics_port
         self._exporter: MetricsExporter | None = None
         self._queue_ewma = EWMA(alpha=0.2)
+        self._last_reload_error: str | None = None
 
     # -------------------------------------------------------------- lifecycle
     @property
@@ -399,6 +404,7 @@ class SearchServer:
         ]
 
     async def _reload_loop(self) -> None:
+        failing = False
         while True:
             await asyncio.sleep(self.reload_poll)
             try:
@@ -407,10 +413,29 @@ class SearchServer:
             # failure shape: a half-written index (mid-rebuild) can raise
             # store, OS or decode errors; keep serving the old index and
             # try again next tick.
-            except Exception:
-                logger.debug(
-                    "reload poll failed (index mid-rebuild?)", exc_info=True
+            except Exception as exc:
+                self._stats.count("reload_failures")
+                _RELOAD_FAILURES_TOTAL.inc()
+                self._last_reload_error = f"{type(exc).__name__}: {exc}"
+                # One warning per failure streak; repeats go to debug.
+                log = logger.debug if failing else logger.warning
+                log(
+                    "reload poll failed, still serving generation %d "
+                    "(index mid-rebuild?): %s",
+                    self.generation, self._last_reload_error,
+                    exc_info=True,
                 )
+                failing = True
+                continue
+            if failing:
+                # ``last_reload_error`` names an ongoing failure only; the
+                # counter and the warning log keep the history.
+                self._last_reload_error = None
+                logger.info(
+                    "reload poll recovered, serving generation %d",
+                    self.generation,
+                )
+                failing = False
 
     async def maybe_reload(self) -> bool:
         """Re-open the index iff its on-disk fingerprint changed.
@@ -604,6 +629,7 @@ class SearchServer:
                 queue_depth=self._batcher.depth, generation=self.generation
             )
             body.update(self._batch_shape)
+            body["last_reload_error"] = self._last_reload_error
             body["cache_size"] = len(self._cache)
             body["routing"] = self.routing_signals()
             if self._request_log is not None:

@@ -102,6 +102,7 @@ class ServerStats:
         self.batches_total = 0
         self.batched_queries_total = 0
         self.reloads_total = 0
+        self.reload_failures = 0
         self.latency = LatencyWindow()
         self.qps = RateWindow()
         self.span_seconds: dict[str, float] = {}
@@ -139,6 +140,7 @@ class ServerStats:
                 "protocol_errors": self.protocol_errors,
                 "batches_total": batches,
                 "reloads_total": self.reloads_total,
+                "reload_failures": self.reload_failures,
                 "spans_seconds": {
                     name: round(total, 6)
                     for name, total in sorted(self.span_seconds.items())

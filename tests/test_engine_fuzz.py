@@ -1,21 +1,22 @@
-"""Differential fuzz: vectorized engine vs scalar reference vs ground truth.
+"""Differential fuzz: the level sweep vs scalar reference vs ground truth.
 
-The vectorized traversal (code-point cohorts, lazy child-range probing,
+The level-synchronous sweep (array cohorts per trie level, batched rank,
 text-mode chain runs, batched locate) must be *bit-identical* to the
-pre-vectorization per-fork reference path — not just the same hit set, but
-the same hit ordering, the same ``t_start`` attribution and the same cost
-accounting (x1/x2/x3 cell classes, reuse counters, node visits).  Any
-divergence in these counters is the earliest possible tripwire for a subtly
-wrong shortcut, so the suite compares them everywhere.
+per-fork, depth-first reference path — not just the same hit set, but the
+same hits, the same ``t_start`` attribution and the same cost accounting
+(x1/x2/x3 cell classes, reuse counters, node visits).  Any divergence in
+these counters is the earliest possible tripwire for a subtly wrong
+shortcut, so the suite compares them everywhere.
 
 Layers:
 
 * random texts/queries/schemes (including ``sa > -ss``, the reuse-key
   regression regime) across every filter-toggle combination;
 * adversarial shapes: homologous queries, tandem repeats, homopolymers;
+* ~20k-character texts, where the shallow levels hold hundreds of nodes;
 * Smith-Waterman as the external ground truth;
 * the ``p_end <= len(query)`` invariant (phantom-column guard);
-* sharded vs unsharded serving on top of the vectorized engine.
+* sharded vs unsharded serving on top of the sweep.
 """
 
 import itertools
@@ -168,6 +169,107 @@ class TestVectorizedEqualsReference:
         assert vec.threshold == ref.threshold
         assert vec.hits.hits() == ref.hits.hits()
         assert stats_signature(vec.stats) == stats_signature(ref.stats)
+
+
+def sweep_text(seed, alpha, n=20_000):
+    """A random text with mutated segmental duplications.
+
+    Duplicated stretches keep some trie paths two occurrences wide for many
+    levels, so the sweep's levels hold gap forks long after the wide
+    shallow levels have thinned out.
+    """
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, alpha.size, n)
+    for _ in range(8):
+        src = int(rng.integers(0, n - 600))
+        dst = int(rng.integers(0, n - 300))
+        copy = codes[src : src + 300].copy()
+        flip = rng.random(copy.size) < 0.03
+        copy[flip] = (copy[flip] + 1) % alpha.size
+        codes[dst : dst + 300] = copy
+    return "".join(alpha.chars[c] for c in codes)
+
+
+def homologous_query(rng, text, alpha, length):
+    """A mutated text window: substitutions plus one insertion."""
+    start = int(rng.integers(0, len(text) - length))
+    chars = list(text[start : start + length])
+    for pos in rng.integers(0, length, max(1, length // 20)).tolist():
+        chars[pos] = alpha.chars[(alpha.chars.index(chars[pos]) + 1) % alpha.size]
+    cut = int(rng.integers(1, length - 1))
+    return "".join(chars[:cut]) + alpha.chars[0] + "".join(chars[cut:])
+
+
+PROTEIN_SCHEME = ScoringScheme(1, -3, -11, -1)
+
+
+@pytest.fixture(scope="module")
+def sweep_engines():
+    """Sweep and scalar-reference engines over ~20k-character texts."""
+    dna = sweep_text(101, DNA)
+    protein = sweep_text(202, PROTEIN)
+    return {
+        "dna": (
+            dna,
+            ALAE(dna, DNA, DEFAULT_SCHEME),
+            ALAE(dna, DNA, DEFAULT_SCHEME, use_vectorized=False),
+        ),
+        "protein": (
+            protein,
+            ALAE(protein, PROTEIN, PROTEIN_SCHEME),
+            ALAE(protein, PROTEIN, PROTEIN_SCHEME, use_vectorized=False),
+        ),
+    }
+
+
+def assert_sweep_matches_reference(sweep, reference, query, threshold):
+    got = sweep.search(query, threshold=threshold)
+    want = reference.search(query, threshold=threshold)
+    assert got.hits.hits() == want.hits.hits()
+    assert stats_signature(got.stats) == stats_signature(want.stats)
+    return got
+
+
+class TestSweepScale:
+    """Texts large enough that the shallow levels hold hundreds of nodes."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dna_homologous(self, sweep_engines, seed):
+        text, sweep, reference = sweep_engines["dna"]
+        rng = np.random.default_rng(seed)
+        query = homologous_query(rng, text, DNA, int(rng.integers(40, 101)))
+        got = assert_sweep_matches_reference(sweep, reference, query, 25)
+        assert len(got.hits) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_protein_homologous(self, sweep_engines, seed):
+        text, sweep, reference = sweep_engines["protein"]
+        rng = np.random.default_rng(100 + seed)
+        query = homologous_query(rng, text, PROTEIN, int(rng.integers(40, 101)))
+        got = assert_sweep_matches_reference(sweep, reference, query, 18)
+        assert len(got.hits) > 0
+
+    def test_dna_tandem_repeat(self, sweep_engines):
+        # Every gram of a short-period repeat seeds several forks at once.
+        _text, sweep, reference = sweep_engines["dna"]
+        query = ("ACGTTG" * 12)[:70]
+        got = assert_sweep_matches_reference(sweep, reference, query, 12)
+        assert got.stats.forks_seeded > 2 * len(set(
+            query[i : i + DEFAULT_SCHEME.q] for i in range(len(query) - 3)
+        ))
+
+    def test_global_bitmask(self, sweep_engines):
+        # Protein grams mostly occur once, so marks from earlier grams can
+        # cover every occurrence of a later seed (Theorem 4 skips).
+        text, _sweep, _reference = sweep_engines["protein"]
+        query = homologous_query(np.random.default_rng(9), text, PROTEIN, 60)
+        sweep = ALAE(text, PROTEIN, PROTEIN_SCHEME, use_global_bitmask=True)
+        reference = ALAE(
+            text, PROTEIN, PROTEIN_SCHEME, use_global_bitmask=True,
+            use_vectorized=False,
+        )
+        got = assert_sweep_matches_reference(sweep, reference, query, 18)
+        assert got.stats.forks_skipped_global > 0
 
 
 class TestHypothesisVectorized:

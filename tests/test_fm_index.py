@@ -27,14 +27,55 @@ def fm_small():
     return FMIndex(codes_of("GCTAGCTAGCATGC"), sigma=4, occ_block=4, sa_sample=4)
 
 
+def reopened(fm: FMIndex, occ_block: int, sa_sample: int) -> FMIndex:
+    """The same index rebuilt from its exported components (the store path)."""
+    return FMIndex.from_components(
+        **fm.components(), sigma=fm.sigma, occ_block=occ_block,
+        sa_sample=sa_sample,
+    )
+
+
 class TestOcc:
     def test_occ_matches_bwt_prefix_counts(self, rng):
-        text = "".join(DNA.chars[int(c)] for c in rng.integers(0, 4, 100))
-        fm = FMIndex(codes_of(text), sigma=4, occ_block=8, sa_sample=4)
-        bwt = np.frombuffer(fm._bwt, dtype=np.uint8)
-        for c in range(5):
-            for i in (0, 1, 7, 8, 9, 50, 100, len(bwt)):
-                assert fm.occ(c, i) == int(np.count_nonzero(bwt[:i] == c))
+        # Every code (sentinel included) at every position, for blocks
+        # below, at and above the rank table's 256-row span, built fresh
+        # and reopened from components.  The near-homopolymer fills whole
+        # 256-row spans with one code (the uint8 counts' edge).
+        texts = [
+            (4, rng.integers(1, 5, 700)),
+            (20, rng.integers(1, 21, 700)),
+            (4, np.concatenate((np.full(600, 2), rng.integers(1, 5, 100)))),
+        ]
+        for sigma, codes in texts:
+            for occ_block in (1, 8, 128, 300):
+                fm = FMIndex(codes, sigma=sigma, occ_block=occ_block, sa_sample=4)
+                bwt = np.frombuffer(fm._bwt, dtype=np.uint8)
+                positions = np.arange(len(bwt) + 1)
+                for index in (fm, reopened(fm, occ_block, 4)):
+                    for c in range(sigma + 1):
+                        want = np.concatenate(([0], np.cumsum(bwt == c)))
+                        got = [index.occ(c, i) for i in positions]
+                        assert got == want.tolist()
+                        if c:
+                            batched = index.step_array(
+                                np.full(positions.size, c), positions
+                            )
+                            assert (batched - index._C[c]).tolist() == got
+
+    def test_extend_all_matches_extend_left(self, rng):
+        codes = rng.integers(1, 5, 500)
+        fm = FMIndex(codes, sigma=4, occ_block=300)
+        lo = np.sort(rng.integers(0, 502, 64))
+        hi = np.minimum(lo + rng.integers(0, 40, 64), 501)
+        lo_all, hi_all = fm.extend_all(lo, hi)
+        for k in range(lo.size):
+            for c in range(1, 5):
+                got = (int(lo_all[k, c - 1]), int(hi_all[k, c - 1]))
+                want = fm.extend_left((int(lo[k]), int(hi[k])), c)
+                if want == (0, 0):
+                    assert got[1] <= got[0]
+                else:
+                    assert got == want
 
     def test_lf_is_permutation(self, fm_small):
         size = fm_small.n + 1
@@ -93,6 +134,16 @@ class TestLocate:
         size = fm_small.n + 1
         positions = sorted(fm_small.locate_row(r) for r in range(size))
         assert positions == list(range(size))
+
+    @pytest.mark.parametrize("occ_block", [1, 8, 128, 300])
+    def test_locate_array_matches_locate_row(self, rng, occ_block):
+        codes = rng.integers(1, 5, 900)
+        fm = FMIndex(codes, sigma=4, occ_block=occ_block, sa_sample=8)
+        size = fm.n + 1
+        for index in (fm, reopened(fm, occ_block, 8)):
+            for lo, hi in ((0, size), (3, 40), (size - 9, size), (100, 106)):
+                want = [index.locate_row(r) for r in range(lo, hi)]
+                assert index.locate_array((lo, hi)).tolist() == want
 
     @settings(max_examples=25, deadline=None)
     @given(st.text(alphabet="ACGT", min_size=4, max_size=100), st.integers(0, 200))

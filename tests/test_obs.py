@@ -236,8 +236,10 @@ class TestRequestLog:
         path = tmp_path / "cat.db"
         with RequestLog(path, flush_interval=0.01) as log:
             log.record(_request_row())
+            # ``pending`` drops when the writer takes the row, before its
+            # commit counts it as written: wait for the commit itself.
             deadline = time.monotonic() + 5.0
-            while log.pending and time.monotonic() < deadline:
+            while not log.counters()["written"] and time.monotonic() < deadline:
                 time.sleep(0.01)
             counters = log.counters()
         assert counters["written"] == 1

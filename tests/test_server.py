@@ -8,6 +8,8 @@ garbage — the accept loop must survive everything a client can do to it.
 """
 
 import asyncio
+import logging
+import os
 import socket
 import struct
 import threading
@@ -90,6 +92,32 @@ def running_server(serving_setup):
 
 def fresh_client(handle: ServerThread) -> ServerClient:
     return ServerClient(port=handle.port)
+
+
+class _RecordList(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.INFO)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@pytest.fixture
+def server_log():
+    """Records of ``repro.server`` at INFO and above.
+
+    The handler sits on the logger itself: CLI tests configure the
+    ``repro`` logger to stop propagating, which hides records from caplog.
+    """
+    log = logging.getLogger("repro.server")
+    handler = _RecordList()
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.INFO)
+    yield handler.records
+    log.removeHandler(handler)
+    log.setLevel(level)
 
 
 class TestProtocol:
@@ -629,6 +657,80 @@ class TestHotReload:
                         break
                     time.sleep(0.05)
                 assert client.ping()["generation"] == generation + 1
+
+    def test_half_written_store_counted_until_restored(
+        self, serving_setup, tmp_path, server_log
+    ):
+        path = tmp_path / "flaky.idx"
+        IndexStore.build(serving_setup["database"]).save(path)
+        staged = tmp_path / "staged.idx"
+        _records, database = self._build(serving_setup, 37)
+        IndexStore.build(database).save(staged)
+        payload = staged.read_bytes()
+        records = serving_setup["records"]
+        server = SearchServer(path, port=0, reload_poll=0.05)
+        with ServerThread(server) as handle:
+            with fresh_client(handle) as client:
+                generation = client.ping()["generation"]
+                assert client.stats()["stats"]["reload_failures"] == 0
+                assert client.stats()["stats"]["last_reload_error"] is None
+                # Stores are replaced by rename, so the live generation's
+                # mapped file stays intact while the path holds half a file.
+                half = tmp_path / "half.idx"
+                half.write_bytes(payload[: len(payload) // 2])
+                os.replace(half, path)
+                deadline = time.monotonic() + 20
+                while time.monotonic() < deadline:
+                    if client.stats()["stats"]["reload_failures"]:
+                        break
+                    time.sleep(0.05)
+                stats = client.stats()["stats"]
+                assert stats["reload_failures"] >= 1
+                assert stats["last_reload_error"]
+                assert stats["generation"] == generation
+                # Still answering, from the old generation.
+                query = [("probe", records[1].sequence[200:260])]
+                served = client.search(query, threshold=THRESHOLD)
+                assert served.generation == generation
+                old = SearchService(store=serving_setup["mono"]).search_batch(
+                    query, threshold=THRESHOLD
+                )
+                assert served.results[0].hits == old.results[0].hits
+                os.replace(staged, path)
+                deadline = time.monotonic() + 20
+                while time.monotonic() < deadline:
+                    if client.ping()["generation"] > generation:
+                        break
+                    time.sleep(0.05)
+                assert client.ping()["generation"] == generation + 1
+                # The poll loop logs recovery just after the swap lands.
+                deadline = time.monotonic() + 20
+                while time.monotonic() < deadline:
+                    if any("recovered" in r.getMessage() for r in server_log):
+                        break
+                    time.sleep(0.05)
+                levels = [
+                    (r.levelno, r.getMessage()) for r in server_log
+                    if "reload poll" in r.getMessage()
+                ]
+                # One warning opens the streak; recovery is logged at info.
+                assert levels[0][0] == logging.WARNING
+                assert sum(lvl == logging.WARNING for lvl, _msg in levels) == 1
+                assert levels[-1][0] == logging.INFO
+                assert "recovered" in levels[-1][1]
+                # Recovery clears the error; the counter keeps the history.
+                stats = client.stats()["stats"]
+                assert stats["last_reload_error"] is None
+                assert stats["reload_failures"] >= 1
+                after = client.search(
+                    [("probe2", records[0].sequence[100:160])],
+                    threshold=THRESHOLD,
+                )
+                offline = SearchService(store=path).search_batch(
+                    [("probe2", records[0].sequence[100:160])],
+                    threshold=THRESHOLD,
+                )
+                assert after.results[0].hits == offline.results[0].hits
 
     def test_sharded_manifest_reload(self, serving_setup, tmp_path):
         manifest = tmp_path / "reload.shd"
