@@ -85,8 +85,8 @@ class ALAE:
         every q-gram subtree at one depth advance together, their child
         ranges taken by batched rank gathers and their NGR forks scored,
         bounded and filtered as arrays; gap-phase forks, hit location and
-        old-enough unary chains (consumed straight from the text) stay per
-        node.  ``False`` keeps the per-fork, depth-first scalar reference
+        the unary nodes of thin levels (consumed straight from the text)
+        stay per node.  ``False`` keeps the per-fork, depth-first scalar reference
         traversal.  Both visit the same nodes and return bit-identical
         results and statistics (the differential fuzz suite asserts it).
         See README "Engine internals".
@@ -411,13 +411,13 @@ class ALAE:
                 if survivors:
                     stack.append((child_rng, new_depth, survivors))
 
-    #: A unary chain must have survived this many rows before the engine
-    #: pays one locate to switch to text mode (free when the chain happens
-    #: to step onto a sampled SA row), and must have at least this much
-    #: row budget left for the switch to amortise.  Young chains mostly
-    #: die within a few rows, where the locate would be pure loss.
-    _CHAIN_MIN_AGE = 3
-    _CHAIN_MIN_BUDGET = 8
+    #: A level with fewer nodes than this hands every unary node to text
+    #: mode (one locate each, free when the node sits on a sampled SA row);
+    #: wider levels hand off none.  A thin level's fixed per-level array
+    #: calls outweigh what they batch, while on a wide level they amortise
+    #: and most unary nodes die within a few rows, where the locate would
+    #: be pure loss.
+    _THIN_LEVEL = 32
 
     def _sweep(
         self,
@@ -447,8 +447,8 @@ class ALAE:
         Per-node Python remains only where the work is per node by nature:
         gap-phase forks advance per node and child through the Sec. 4
         reuse engine (:func:`advance_row`), hits are located per child
-        (:meth:`_locate_ends`), and unary chains old enough are handed to
-        text mode (:meth:`_chain_text`).  The sweep visits the nodes the
+        (:meth:`_locate_ends`), and the unary nodes of a thin level are
+        handed to text mode (:meth:`_chain_text`).  The sweep visits the nodes the
         scalar reference visits and calculates the same entries, in
         another order; hits and every counter are identical (the
         differential fuzz suite asserts it).
@@ -475,11 +475,10 @@ class ALAE:
         # gain[col - 1, c - 1]: Eq. 3 step of query column col against code c.
         gain = np.where(qcodes[:, None] == np.arange(1, sigma + 1), sa, sb)
 
-        # Level state: node ranges and chain ages, the NGR cohort as flat
-        # arrays sorted by (node, pip), and gap forks by node.
+        # Level state: node ranges, the NGR cohort as flat arrays sorted by
+        # (node, pip), and gap forks by node.
         lo = np.array([rng[0] for rng, _forks in seeds], dtype=np.int64)
         hi = np.array([rng[1] for rng, _forks in seeds], dtype=np.int64)
-        age = np.zeros(lo.size, dtype=np.int64)
         nodes: list[int] = []
         pips: list[int] = []
         scores: list[int] = []
@@ -508,17 +507,12 @@ class ALAE:
                 if new_depth < n_live
                 else plan.row_live_threshold(new_depth, use_sf)
             )
-            width = hi - lo
             # Forks whose diagonal already left the query die silently.
             keep = f_pip + depth <= m
 
-            # ---- established unary chains leave for text mode ----------
-            if gbm is None and (
-                not use_lf or lmax - depth >= self._CHAIN_MIN_BUDGET
-            ):
-                chains = np.flatnonzero(
-                    (age >= self._CHAIN_MIN_AGE) & (width == 1)
-                )
+            # ---- a thin level's unary nodes leave for text mode ---------
+            if gbm is None and lo.size < self._THIN_LEVEL:
+                chains = np.flatnonzero(hi - lo == 1)
                 if chains.size:
                     firsts = np.searchsorted(f_node, chains).tolist()
                     lasts = np.searchsorted(f_node, chains, "right").tolist()
@@ -657,10 +651,8 @@ class ALAE:
                 if child_gaps
                 else {}
             )
-            parent = keys // sigma
             lo = np.take(c_lo, keys)
             hi = np.take(c_hi, keys)
-            age = np.where(np.take(width, parent) == 1, np.take(age, parent) + 1, 0)
             f_node = np.searchsorted(keys, stay_key)
             f_pip, f_score = stay_pip, stay_score
             depth = new_depth
@@ -702,16 +694,17 @@ class ALAE:
         ``e``; from there the whole remaining subtree is the text slice
         ``T[e+1..]``: every chain character is a plain array read, the
         single child is implicit, and every emission's end position is just
-        ``e + r`` — no LF walks, rank queries or existence scans.  Pure-NGR
-        stretches are scored by the vectorized diagonal run
-        (:meth:`_chain_run`); gap cones step row by row through the shared
-        sparse DP.  The chain is consumed to cohort death, text end or the
-        depth cap; nothing returns to the sweep's next level.  Accounting is
-        bit-identical to the sweep (asserted by the differential fuzz
-        suite).  Only entered with the global bitmap filter off (its marks
-        need per-row locates the sweep does).
+        ``e + r`` — no LF walks, rank queries or existence scans.  Every row
+        is plain Python: NGR forks take one Eq. 3 step each and gap cones
+        one sparse DP row, since most chains die within a few rows, where
+        per-fork array calls would cost more than they save.  The chain is
+        consumed to cohort death, text end or the depth cap; nothing
+        returns to the sweep's next level.  Accounting is bit-identical to
+        the sweep (asserted by the differential fuzz suite).  Only entered
+        with the global bitmap filter off (its marks need per-row locates
+        the sweep does).
         """
-        qcodes, qlist, live_rows = vec_state
+        _qcodes, qlist, live_rows = vec_state
         csa = self.csa
         scheme = self.scheme
         sa, sb = scheme.sa, scheme.sb
@@ -730,16 +723,6 @@ class ALAE:
         visited = 0
         x1 = 0
         while True:
-            if pips and not gaps:
-                run = self._chain_run(
-                    e, depth, pips, scores, qcodes, plan, h_thr, results,
-                    stats, counter,
-                )
-                if run is None:
-                    break
-                # The run consumed the pure-NGR stretch plus its first FGOE
-                # row; the resume node carries the fresh gap cone.
-                depth, e, pips, scores, gaps = run
             new_depth = depth + 1
             if use_lf and new_depth > lmax:
                 break
@@ -824,165 +807,6 @@ class ALAE:
             visited += 1
         stats.nodes_visited += visited
         counter.x1 += x1
-
-    def _chain_run(
-        self,
-        e: int,
-        depth: int,
-        pips: list[int],
-        scores: list[int],
-        qcodes: np.ndarray,
-        plan: FilterPlan,
-        h_thr: int,
-        results: ResultSet,
-        stats: SearchStats,
-        counter: CostCounter,
-    ) -> tuple[int, int, list[int], list[int], list] | None:
-        """Score a pure-NGR cohort down an entire unary chain at once.
-
-        The current path's single occurrence ends at text position ``e``,
-        so every fork just walks its diagonal (Eq. 3) against the text
-        slice: one gather + cumsum scores all its remaining rows in one
-        shot, and the liveness bound is an arithmetic ramp (both Theorem 2
-        terms grow by ``sa`` per row, so their max is one intercept plus
-        the shared slope).
-
-        The run consumes the chain up to — and including — the first FGOE
-        crossing row (whose gap cone needs the sparse DP): it returns the
-        resume state ``(depth, e, pips, scores, gaps)`` holding the fresh
-        cone, or ``None`` when the cohort dies on the chain.  Node visits,
-        x1 charges and emissions replicate the scalar engine's step-by-step
-        accounting exactly.
-        """
-        csa = self.csa
-        scheme = self.scheme
-        sa, sb = scheme.sa, scheme.sb
-        m, h_budget = plan.m, plan.threshold
-        fgoe = plan.fgoe_bound
-        lmax = plan.lmax
-        use_sf = self.use_score_filter
-        n = csa.n
-        chain_len = n - e
-        if self.use_length_filter and lmax - depth < chain_len:
-            chain_len = lmax - depth
-        if chain_len <= 0:
-            return None
-        tc = csa.text_codes()[e : e + chain_len]
-        t_start = e - depth + 1  # constant: every chain hit starts here
-
-        k = len(pips)
-        # Most cohorts die within a handful of rows: score a 32-row trial
-        # block first and pay for the full chain only when a fork survives
-        # the whole block (real homology).  Prefix outcomes are final, so
-        # the retry recomputes identical values.
-        for span_cap in (32, chain_len):
-            cums: list = [None] * k
-            surv = [0] * k
-            died = [False] * k
-            spans = [0] * k
-            first_cross = chain_len  # earliest FGOE crossing row (0-based)
-            inconclusive = False
-            for i in range(k):
-                col0 = pips[i] + depth - 1
-                span = m - col0
-                if span > chain_len:
-                    span = chain_len
-                spans[i] = span
-                if span <= 0:
-                    continue
-                used = span if span < span_cap else span_cap
-                cum = scores[i] + np.cumsum(
-                    np.where(tc[:used] == qcodes[col0 : col0 + used], sa, sb)
-                )
-                cums[i] = cum
-                if use_sf:
-                    icept = h_budget - (m - col0) * sa - 1
-                    live_icept = h_budget - (lmax - depth) * sa - 1
-                    if live_icept > icept:
-                        icept = live_icept
-                    bnd = icept + sa * np.arange(1, used + 1, dtype=np.int64)
-                    alive = (cum > bnd) & (cum > 0)
-                else:
-                    alive = cum > 0
-                if alive.all():
-                    surv[i] = used
-                    if used < span:  # alive through the trial block
-                        inconclusive = True
-                else:
-                    surv[i] = int(np.argmin(alive))
-                    died[i] = True
-                if surv[i]:
-                    crossing = cum[: surv[i]] > fgoe
-                    if crossing.any():
-                        cross_at = int(np.argmax(crossing))
-                        if cross_at < first_cross:
-                            first_cross = cross_at
-            if not inconclusive:
-                break
-
-        s_max = max(surv)
-        crossing_found = first_cross < chain_len and first_cross <= s_max
-        consumed = first_cross if crossing_found else min(s_max + 1, chain_len)
-
-        charged = 0
-        for i in range(k):
-            charged += min(surv[i] + died[i], consumed)
-            cum = cums[i]
-            if cum is None:
-                continue
-            lim = min(surv[i], consumed)
-            if lim and int(cum[:lim].max()) >= h_thr:
-                base_col = pips[i] + depth
-                for r in np.nonzero(cum[:lim] >= h_thr)[0].tolist():
-                    results.add(e + r + 1, base_col + r, int(cum[r]), t_start)
-        counter.x1 += charged
-        stats.nodes_visited += min(s_max, consumed)
-        if not crossing_found:
-            return None
-
-        # ---- the crossing row itself (step consumed + 1) ----------------
-        cc = consumed
-        new_depth = depth + cc + 1
-        t_end = e + cc + 1
-        live = (
-            max(0, h_budget - (lmax - new_depth) * sa - 1) if use_sf else 0
-        )
-        stay_pips: list[int] = []
-        stay_scores: list[int] = []
-        gaps_out: list = []
-        charged2 = 0
-        for i in range(k):
-            if surv[i] < cc or spans[i] <= cc:
-                continue  # dead earlier, or silently out of columns
-            charged2 += 1
-            score = int(cums[i][cc]) if cc < spans[i] else 0
-            col = pips[i] + new_depth - 1
-            if use_sf:
-                bound = h_budget - (m - col) * sa - 1
-                if live > bound:
-                    bound = live
-            else:
-                bound = 0
-            if score <= bound:
-                continue
-            if score > fgoe:
-                frontier = fgoe_row_frontier(
-                    score, col, m, scheme, bound, counter
-                )
-                gaps_out.append((pips[i], frontier))
-                for ccol, (m_val, _ga) in frontier.items():
-                    if m_val >= h_thr:
-                        results.add(t_end, ccol, m_val, t_end - new_depth + 1)
-            else:
-                stay_pips.append(pips[i])
-                stay_scores.append(score)
-                if score >= h_thr:
-                    results.add(t_end, col, score, t_end - new_depth + 1)
-        counter.x1 += charged2
-        if not stay_pips and not gaps_out:
-            return None
-        stats.nodes_visited += 1  # the crossing row's node becomes current
-        return (new_depth, t_end, stay_pips, stay_scores, gaps_out)
 
     def _advance_forks(
         self,

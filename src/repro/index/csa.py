@@ -111,14 +111,6 @@ class ReversedTextIndex:
             self._text_code_bytes = codes
         return codes
 
-    def text_codes(self) -> np.ndarray:
-        """:meth:`text_code_bytes` as a read-only ``uint8`` view (no copy).
-
-        The unary-chain diagonal runs gather upcoming text characters from
-        it instead of stepping the FM-index once per character.
-        """
-        return np.frombuffer(self.text_code_bytes(), dtype=np.uint8)
-
     def query_codes(self, query: str) -> np.ndarray:
         """``query`` as shifted code points (``alphabet code + 1``).
 

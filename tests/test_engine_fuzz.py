@@ -1,7 +1,7 @@
 """Differential fuzz: the level sweep vs scalar reference vs ground truth.
 
 The level-synchronous sweep (array cohorts per trie level, batched rank,
-text-mode chain runs, batched locate) must be *bit-identical* to the
+text-mode chains, batched locate) must be *bit-identical* to the
 per-fork, depth-first reference path — not just the same hit set, but the
 same hits, the same ``t_start`` attribution and the same cost accounting
 (x1/x2/x3 cell classes, reuse counters, node visits).  Any divergence in
@@ -14,6 +14,7 @@ Layers:
   regression regime) across every filter-toggle combination;
 * adversarial shapes: homologous queries, tandem repeats, homopolymers;
 * ~20k-character texts, where the shallow levels hold hundreds of nodes;
+* text mode entered nowhere and at every unary node;
 * Smith-Waterman as the external ground truth;
 * the ``p_end <= len(query)`` invariant (phantom-column guard);
 * sharded vs unsharded serving on top of the sweep.
@@ -106,6 +107,14 @@ def assert_engines_agree(text, query, alpha, scheme, threshold, **toggles):
     assert all(1 <= hit.t_end <= len(text) for hit in vec.hits)
 
 
+def assert_long_homology_agrees():
+    rng = np.random.default_rng(99)
+    text = "".join(DNA.chars[c] for c in rng.integers(0, 4, 4000))
+    query = text[1500:1620]
+    for threshold in (20, 60, 110):
+        assert_engines_agree(text, query, DNA, DEFAULT_SCHEME, threshold)
+
+
 class TestVectorizedEqualsReference:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_cases_default_toggles(self, seed):
@@ -141,14 +150,10 @@ class TestVectorizedEqualsReference:
         for threshold in (1, 2, 6):
             assert_engines_agree(text, query, alpha, scheme, threshold, **toggles)
 
-    def test_long_homology_chain_run(self):
-        # A long exact embedded copy drives the unary-chain diagonal run and
-        # its FGOE-crossing resume path.
-        rng = np.random.default_rng(99)
-        text = "".join(DNA.chars[c] for c in rng.integers(0, 4, 4000))
-        query = text[1500:1620]
-        for threshold in (20, 60, 110):
-            assert_engines_agree(text, query, DNA, DEFAULT_SCHEME, threshold)
+    def test_long_homology_unary_chain(self):
+        # A long exact embedded copy: one deep unary chain whose NGR cohort
+        # crosses FGOE and carries gap cones for a hundred rows.
+        assert_long_homology_agrees()
 
     def test_mutated_homology(self):
         rng = np.random.default_rng(7)
@@ -230,24 +235,32 @@ def assert_sweep_matches_reference(sweep, reference, query, threshold):
     return got
 
 
+def assert_dna_homologous_agrees(sweep_engines, seed):
+    text, sweep, reference = sweep_engines["dna"]
+    rng = np.random.default_rng(seed)
+    query = homologous_query(rng, text, DNA, int(rng.integers(40, 101)))
+    got = assert_sweep_matches_reference(sweep, reference, query, 25)
+    assert len(got.hits) > 0
+
+
+def assert_protein_homologous_agrees(sweep_engines, seed):
+    text, sweep, reference = sweep_engines["protein"]
+    rng = np.random.default_rng(100 + seed)
+    query = homologous_query(rng, text, PROTEIN, int(rng.integers(40, 101)))
+    got = assert_sweep_matches_reference(sweep, reference, query, 18)
+    assert len(got.hits) > 0
+
+
 class TestSweepScale:
     """Texts large enough that the shallow levels hold hundreds of nodes."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dna_homologous(self, sweep_engines, seed):
-        text, sweep, reference = sweep_engines["dna"]
-        rng = np.random.default_rng(seed)
-        query = homologous_query(rng, text, DNA, int(rng.integers(40, 101)))
-        got = assert_sweep_matches_reference(sweep, reference, query, 25)
-        assert len(got.hits) > 0
+        assert_dna_homologous_agrees(sweep_engines, seed)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_protein_homologous(self, sweep_engines, seed):
-        text, sweep, reference = sweep_engines["protein"]
-        rng = np.random.default_rng(100 + seed)
-        query = homologous_query(rng, text, PROTEIN, int(rng.integers(40, 101)))
-        got = assert_sweep_matches_reference(sweep, reference, query, 18)
-        assert len(got.hits) > 0
+        assert_protein_homologous_agrees(sweep_engines, seed)
 
     def test_dna_tandem_repeat(self, sweep_engines):
         # Every gram of a short-period repeat seeds several forks at once.
@@ -270,6 +283,31 @@ class TestSweepScale:
         )
         got = assert_sweep_matches_reference(sweep, reference, query, 18)
         assert got.stats.forks_skipped_global > 0
+
+
+class TestTextModeHandOff:
+    """Text mode is exact wherever the sweep hands a unary node to it.
+
+    A thin-level width of 0 keeps every node in the sweep; 10**9 hands
+    every unary node over on the level where it appears, seeds included.
+    """
+
+    @pytest.fixture(
+        autouse=True, params=[0, 10**9], ids=["sweep-only", "every-unary"]
+    )
+    def thin_level(self, request, monkeypatch):
+        monkeypatch.setattr(ALAE, "_THIN_LEVEL", request.param)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dna_homologous(self, sweep_engines, seed):
+        assert_dna_homologous_agrees(sweep_engines, seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_protein_homologous(self, sweep_engines, seed):
+        assert_protein_homologous_agrees(sweep_engines, seed)
+
+    def test_long_homology(self):
+        assert_long_homology_agrees()
 
 
 class TestHypothesisVectorized:
