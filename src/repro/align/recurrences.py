@@ -13,6 +13,9 @@ Soundness of the pruning baked in here (mirrored by unit tests):
 * cells with ``M <= live`` are dropped entirely — Theorem 2: a non-positive
   anchored prefix is dominated by a later-starting suffix path, and the
   ``live > 0`` variants encode the threshold/Lmax budget arguments;
+* with a column floor, cells with ``M <= col_floor + j * sa`` are dropped
+  too — Theorem 2's column budget: the ``m - j`` query columns left can
+  add at most ``(m - j) * sa``, too little to reach ``H``;
 * ``Ga``/``Gb`` values ``<= 0`` are clamped to ``-inf``: since
   ``M >= Ga, M >= Gb`` and pure gap chains only decay, a non-positive
   auxiliary score can never participate in a live cell later.
@@ -87,6 +90,7 @@ def advance_row(
     live: int,
     counter: CostCounter | None = None,
     dense: bool = False,
+    col_floor: int | None = None,
 ) -> Frontier:
     """Compute row ``i`` of the anchored DP from row ``i - 1``.
 
@@ -116,6 +120,16 @@ def advance_row(
         non-positive and is immediately discarded.  ALAE's fork sweep
         (``dense=False``) charges only the cells its fork geometry
         materialises.
+    col_floor:
+        Theorem 2's column budget as one intercept (ALAE passes
+        ``H - m * sa - 1``): a cell at column ``j`` scoring at most
+        ``col_floor + j * sa`` cannot reach ``H`` in the columns left, so
+        it is neither kept nor fed into ``Gb``, and the skip and stop
+        tests use the same per-column bound.  The row keeps exactly the
+        unfloored row's cells above the floor, with equal values (what a
+        dropped cell feeds stays below the floor), and charges no more
+        cells.  ``None`` (BWT-SW, the score filter off) applies ``live``
+        alone.
 
     Returns
     -------
@@ -139,6 +153,9 @@ def advance_row(
     ns = len(src)
     if not ns:
         return {}
+    # A cell's bound is max(live, col_floor + j * sa): ``live`` up to
+    # column ``j_live``, the column term past it.
+    j_live = m if col_floor is None else (live - col_floor) // sa
     new: Frontier = {}
     dead_candidates = 0
     n1 = n2 = n3 = 0  # local cost-class tallies, flushed once at the end
@@ -148,6 +165,7 @@ def advance_row(
     si = 0
     j = src[0][0]
     while True:
+        bound = live if j <= j_live else col_floor + j * sa
         if j == pend_col:
             d = pend_d
             pend_d = NEG
@@ -179,7 +197,7 @@ def advance_row(
         if d == NEG and g == NEG:
             # No candidate here: live horizontal extension keeps the column
             # calculated, otherwise jump to the next candidate column.
-            if e_val <= live:
+            if e_val <= bound:
                 if pend_d > NEG:
                     nxt = pend_col
                     if si < ns and src[si][0] < nxt:
@@ -211,7 +229,7 @@ def advance_row(
             else:
                 n1 += 1
 
-        if m_val > live:
+        if m_val > bound:
             new[j] = (m_val, g if g > NEG_HALF else NEG)
             feed = m_val + go
         else:
@@ -224,7 +242,7 @@ def advance_row(
         if e_val <= 0:
             e_val = NEG
 
-        if pend_d == NEG and si >= ns and e_val <= live:
+        if pend_d == NEG and si >= ns and e_val <= bound:
             break
         j += 1
         if j > m:

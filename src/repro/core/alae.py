@@ -461,6 +461,7 @@ class ALAE:
         lmax = plan.lmax
         use_sf = self.use_score_filter
         use_lf = self.use_length_filter
+        col_floor = plan.col_floor(use_sf)
         csa = self.csa
         fm = csa._fm
         sigma = fm.sigma
@@ -613,17 +614,17 @@ class ALAE:
                         continue
                     k = i * sigma + code
                     char = code_chars[code + 1]
-                    if reuse.enabled and len(frontiers) > 1:
-                        new_frontiers = reuse.advance_forks(
-                            frontiers, char, query, m, scheme, live, counter,
-                        )
+                    if len(frontiers) == 1:
+                        # A lone fork cannot share: skip the reuse engine.
+                        new_frontiers = [advance_row(
+                            frontiers[0], char, query, m, scheme, live,
+                            counter, col_floor=col_floor,
+                        )]
                     else:
-                        # A lone fork (or disabled engine) cannot share
-                        # anything; skip the grouping machinery.
-                        new_frontiers = [
-                            advance_row(fr, char, query, m, scheme, live, counter)
-                            for fr in frontiers
-                        ]
+                        new_frontiers = reuse.advance_forks(
+                            frontiers, char, query, m, scheme, live,
+                            counter, col_floor,
+                        )
                     for (gap_pip, _old), frontier in zip(node_gaps, new_frontiers):
                         if not frontier:
                             continue
@@ -713,6 +714,7 @@ class ALAE:
         lmax = plan.lmax
         use_sf = self.use_score_filter
         use_lf = self.use_length_filter
+        col_floor = plan.col_floor(use_sf)
         code_chars = self._code_chars
         row_live = plan.row_live_threshold
         n_live = len(live_rows)
@@ -774,19 +776,16 @@ class ALAE:
                         results.add(t_end, col, score, t_end - new_depth + 1)
             if gaps:
                 char = code_chars[code1]
-                if reuse.enabled and len(gaps) > 1:
+                if len(gaps) == 1:
+                    new_frontiers = [advance_row(
+                        gaps[0][1], char, query, m, scheme, live, counter,
+                        col_floor=col_floor,
+                    )]
+                else:
                     new_frontiers = reuse.advance_forks(
                         [fr for _p, fr in gaps], char, query, m, scheme,
-                        live, counter,
+                        live, counter, col_floor,
                     )
-                else:
-                    # Single-fork / disabled advances cannot share anything;
-                    # skip the engine's grouping machinery (identical
-                    # results and accounting).
-                    new_frontiers = [
-                        advance_row(fr, char, query, m, scheme, live, counter)
-                        for _p, fr in gaps
-                    ]
                 for (gap_pip, _old), frontier in zip(gaps, new_frontiers):
                     if not frontier:
                         continue
@@ -881,7 +880,7 @@ class ALAE:
         if gap_forks:
             new_frontiers = reuse.advance_forks(
                 [f.frontier for f in gap_forks], char, query, plan.m,
-                self.scheme, live, counter,
+                self.scheme, live, counter, plan.col_floor(use_sf),
             )
             sa = self.scheme.sa
             for fork, frontier in zip(gap_forks, new_frontiers):

@@ -7,11 +7,16 @@ toggle each filter and so tests can probe each theorem in isolation:
 * **Theorem 1 (length)** — only rows ``ceil(H/sa) <= i <= Lmax`` can host a
   result; the engine also uses ``Lmax`` as its traversal depth cap.
 * **Theorem 2 (score)** — a cell is dead when its score cannot be lifted back
-  to ``H`` by the at-most-one-match-per-column budget.  The engine applies
-  the row-dependent part ``H - (Lmax - i) * sa - 1`` uniformly (it is
-  invariant under the column shifts that reuse relies on) together with the
-  BWT-SW positivity floor ``0``; the column-dependent part is available for
-  per-fork use via :func:`dead_threshold_cell`.
+  to ``H`` by the at-most-one-match-per-column budget.  NGR and FGOE cells
+  take the full bound per cell (:func:`dead_threshold_cell`).  Gap-region
+  rows take the row term ``H - (Lmax - i) * sa - 1`` with the BWT-SW
+  positivity floor ``0`` as one row-wide ``live``
+  (:meth:`FilterPlan.row_live_threshold`) and the column term
+  ``H - (m - j) * sa - 1`` as one intercept (:meth:`FilterPlan.col_floor`)
+  that :func:`repro.align.recurrences.advance_row` ramps per column.  The
+  row term is invariant under the column shifts that Sec. 4 reuse relies
+  on; the column term is not, so reuse keys pin the column where it can
+  bind (:mod:`repro.core.reuse`).
 * **Theorem 3 (q-prefix)** — every surviving alignment starts with ``q``
   exact matches, so DP begins only at fork seeds located through the q-gram
   inverted index of ``P``.
@@ -47,6 +52,17 @@ class FilterPlan:
 
     # sa is stored denormalised to keep row_live_threshold allocation-free.
     sa_cached: int = 0
+
+    def col_floor(self, use_score_filter: bool = True) -> int | None:
+        """Theorem 2's column term as one intercept: ``H - m * sa - 1``.
+
+        A cell at column ``j`` scoring at most ``col_floor + j * sa`` cannot
+        reach ``H`` in the ``m - j`` columns left.  ``None`` with the score
+        filter off.
+        """
+        if not use_score_filter:
+            return None
+        return self.threshold - self.m * self.sa_cached - 1
 
     def cell_dead(self, i: int, j: int, score: int) -> bool:
         """Full Theorem 2 check for one cell (includes the column budget)."""

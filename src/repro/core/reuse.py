@@ -19,9 +19,13 @@ right-edge class is ``-1`` ("far") unless the frontier could reach column
 ``m`` this row, in which case the exact distance is part of the key — two
 forks at different distances from the edge may genuinely diverge there.
 
-Reuse keys deliberately use the shift-invariant row liveness threshold (see
-``FilterPlan.row_live_threshold``), so group members stay byte-identical
-across rows and keep sharing.
+Row advances drop cells under Theorem 2's full bound: the shift-invariant
+row term ``live`` (``FilterPlan.row_live_threshold``) and the column term
+``col_floor + j * sa`` (``FilterPlan.col_floor``), which is not shift
+invariant.  Where the column term cannot bind within the advance's reach
+(``col_floor + (last + reach) * sa <= live``) the advance equals the
+unfloored one and the key above stands; where it can, the key also pins
+the exact last column, so only forks at the same columns share.
 """
 
 from __future__ import annotations
@@ -32,7 +36,14 @@ from repro.scoring.scheme import ScoringScheme
 ReuseKey = tuple
 
 
-def frontier_reuse_key(frontier: Frontier, query: str, m: int, scheme: ScoringScheme) -> ReuseKey:
+def frontier_reuse_key(
+    frontier: Frontier,
+    query: str,
+    m: int,
+    scheme: ScoringScheme,
+    live: int = 0,
+    col_floor: int | None = None,
+) -> ReuseKey:
     """Compute the memo key for one fork's frontier (see module docstring)."""
     cols = sorted(frontier)
     base = cols[0]
@@ -51,8 +62,11 @@ def frontier_reuse_key(frontier: Frontier, query: str, m: int, scheme: ScoringSc
     reach = (
         max(0, (max_m + scheme.sa + scheme.sg + scheme.ss) // (-scheme.ss)) + 2
     )
-    room = m - cols[-1]
+    last = cols[-1]
+    room = m - last
     edge = room if room <= reach else -1
+    if col_floor is not None and col_floor + (last + reach) * scheme.sa > live:
+        return (rel, window, edge, last)
     return (rel, window, edge)
 
 
@@ -74,15 +88,20 @@ class ReuseEngine:
         scheme: ScoringScheme,
         live: int,
         counter: CostCounter | None,
+        col_floor: int | None = None,
     ) -> list[Frontier]:
         """Advance every fork frontier one row, sharing identical advances.
 
+        ``live`` and ``col_floor`` are :func:`advance_row`'s bounds.
         Returns the new frontiers, positionally matching the input list
         (empty dict = fork died).
         """
         if not self.enabled or len(frontiers) < 2:
             return [
-                advance_row(fr, x_char, query, m, scheme, live, counter)
+                advance_row(
+                    fr, x_char, query, m, scheme, live, counter,
+                    col_floor=col_floor,
+                )
                 for fr in frontiers
             ]
 
@@ -106,10 +125,13 @@ class ReuseEngine:
                 continue
             if sig_counts[sig] < 2:
                 out.append(
-                    advance_row(fr, x_char, query, m, scheme, live, counter)
+                    advance_row(
+                        fr, x_char, query, m, scheme, live, counter,
+                        col_floor=col_floor,
+                    )
                 )
                 continue
-            key = frontier_reuse_key(fr, query, m, scheme)
+            key = frontier_reuse_key(fr, query, m, scheme, live, col_floor)
             base = min(fr)
             cached = memo.get(key)
             if cached is not None:
@@ -121,7 +143,10 @@ class ReuseEngine:
                 out.append(copied)
                 continue
             self.memo_misses += 1
-            new_fr = advance_row(fr, x_char, query, m, scheme, live, counter)
+            new_fr = advance_row(
+                fr, x_char, query, m, scheme, live, counter,
+                col_floor=col_floor,
+            )
             memo[key] = (base, new_fr)
             out.append(new_fr)
         return out

@@ -1,8 +1,13 @@
 """Unit tests of the sparse row advance and fork transitions."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import DEFAULT_SCHEME, ScoringScheme
+import repro.core.alae as alae_module
+import repro.core.reuse as reuse_module
+from repro import ALAE, DEFAULT_SCHEME, DNA, PROTEIN, ScoringScheme
 from repro.align.recurrences import (
     NEG,
     CostCounter,
@@ -79,6 +84,109 @@ class TestAdvanceRow:
         # col 3 diag from 2 (5+1=6).
         assert new[3][0] == 6
         assert new[4][0] >= 2
+
+
+FLOOR_SCHEMES = [
+    DEFAULT_SCHEME,
+    ScoringScheme(1, -3, -11, -1),
+    ScoringScheme(2, -3, -10, -4),
+    ScoringScheme(5, -5, -4, -2),  # sa > -ss
+    ScoringScheme(3, -3, -2, -1),  # sa > -ss
+]
+
+
+def assert_floor_keeps_cells_above_it(frontier, x_char, query, scheme, live, floor):
+    """``col_floor`` keeps exactly the plain row's cells above the floor."""
+    m = len(query)
+    plain_cost, floored_cost = CostCounter(), CostCounter()
+    plain = advance_row(frontier, x_char, query, m, scheme, live, plain_cost)
+    floored = advance_row(
+        frontier, x_char, query, m, scheme, live, floored_cost, col_floor=floor
+    )
+    assert floored == {
+        j: cell for j, cell in plain.items() if cell[0] > floor + j * scheme.sa
+    }
+    assert floored_cost.total <= plain_cost.total
+    return floored != plain
+
+
+class TestColumnFloor:
+    """Theorem 2's column budget on gap cells (``advance_row(col_floor=)``)."""
+
+    def test_floor_drops_cells_and_their_gap_tail(self):
+        # Unfloored: 5 (vertical) at column 1, 13 at 2, then the gap tail
+        # 6, 4, 2 at columns 3-5.  Floor 2 bounds column j at 2 + j, so the
+        # tail dies after column 3.
+        frontier = {1: (12, NEG)}
+        new = advance_row(
+            frontier, "A", "AAAAAAA", 7, DEFAULT_SCHEME, live=0, col_floor=2
+        )
+        assert new == {1: (5, 5), 2: (13, NEG), 3: (6, NEG)}
+
+    def test_unbinding_floor_changes_nothing(self):
+        frontier = {1: (12, NEG), 3: (4, 2)}
+        plain = advance_row(frontier, "C", "ACCGTA", 6, DEFAULT_SCHEME, live=1)
+        floored = advance_row(
+            frontier, "C", "ACCGTA", 6, DEFAULT_SCHEME, live=1, col_floor=-50
+        )
+        assert floored == plain
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_property_random_rows(self, data):
+        scheme = data.draw(st.sampled_from(FLOOR_SCHEMES))
+        m = data.draw(st.integers(1, 24))
+        query = data.draw(st.text(alphabet="ACGT", min_size=m, max_size=m))
+        cols = data.draw(
+            st.lists(st.integers(1, m), min_size=1, max_size=8, unique=True)
+        )
+        frontier = {}
+        for j in sorted(cols):
+            m_val = data.draw(st.integers(1, 40))
+            ga = data.draw(st.one_of(st.just(NEG), st.integers(1, m_val)))
+            frontier[j] = (m_val, ga)
+        live = data.draw(st.integers(0, 12))
+        floor = data.draw(st.integers(-m * scheme.sa - 20, 20))
+        x_char = data.draw(st.sampled_from("ACGT"))
+        assert_floor_keeps_cells_above_it(
+            frontier, x_char, query, scheme, live, floor
+        )
+
+    @pytest.mark.parametrize(
+        "alphabet,scheme,length,threshold",
+        [
+            (DNA, DEFAULT_SCHEME, 80, 25),
+            (PROTEIN, ScoringScheme(1, -3, -11, -1), 60, 15),
+            (DNA, ScoringScheme(5, -5, -4, -2), 30, 40),
+        ],
+        ids=["dna", "protein", "sa-over-ss"],
+    )
+    def test_property_real_calls(self, monkeypatch, alphabet, scheme, length, threshold):
+        # Replay every gap-row advance of real searches with and without
+        # the floor the engine passed.
+        calls = []
+        real = reuse_module.advance_row
+
+        def spy(frontier, x_char, query, m, scheme, live, counter=None, **kw):
+            calls.append((dict(frontier), x_char, query, scheme, live, kw["col_floor"]))
+            return real(frontier, x_char, query, m, scheme, live, counter, **kw)
+
+        for module in (alae_module, reuse_module):
+            monkeypatch.setattr(module, "advance_row", spy)
+        rng = np.random.default_rng(5)
+        text = "".join(alphabet.chars[c] for c in rng.integers(0, alphabet.size, 3000))
+        engine = ALAE(text, alphabet, scheme)
+        for start in (100, 900, 2100):
+            query = list(text[start : start + length])
+            for pos in range(7, length, 11):  # substitutions and one deletion
+                query[pos] = alphabet.chars[(alphabet.chars.index(query[pos]) + 1) % alphabet.size]
+            del query[length // 2]
+            engine.search("".join(query), threshold=threshold)
+        assert calls
+        binding = sum(
+            assert_floor_keeps_cells_above_it(*call) for call in calls
+        )
+        assert binding > 0
 
 
 class TestCostCounter:

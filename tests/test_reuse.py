@@ -134,6 +134,83 @@ class TestRightEdgeReachBound:
             assert all(hit.p_end <= len(query) for hit in on.hits)
 
 
+class TestColumnFloorKey:
+    """Theorem 2's column floor is not shift invariant: keys pin the column.
+
+    Under ``<1,-3,-5,-2>`` both frontiers reach three columns past their
+    last one, so a floor binds within reach of column ``c`` when
+    ``floor + (c + 3) > live``.
+    """
+
+    query = "GCTA" * 8  # period 4: the two frontiers see the same window
+    left = {4: (8, NEG), 5: (3, NEG)}
+    right = {8: (8, NEG), 9: (3, NEG)}
+
+    def keys(self, live, floor):
+        m = len(self.query)
+        return [
+            frontier_reuse_key(fr, self.query, m, DEFAULT_SCHEME, live, floor)
+            for fr in (self.left, self.right)
+        ]
+
+    def test_unbinding_floor_keeps_the_shift_invariant_key(self):
+        m = len(self.query)
+        plain = frontier_reuse_key(self.left, self.query, m, DEFAULT_SCHEME)
+        # H = 20 at m = 32: floor -13 reaches -1 at column 12.
+        assert self.keys(0, 20 - m - 1) == [plain, plain]
+        assert self.keys(0, None) == [plain, plain]
+
+    def test_binding_floor_splits_shifted_frontiers(self):
+        # H = 30: floor -3 binds within reach of both (5 and 9 > 0).
+        left, right = self.keys(0, 30 - len(self.query) - 1)
+        assert left != right
+        # Binding on the right only (-9 + 12 > 0 >= -9 + 8) splits too.
+        left, right = self.keys(0, -9)
+        assert left != right
+
+    @pytest.mark.parametrize("floor,shared", [(-100, True), (-6, False)])
+    def test_shared_advance_matches_direct(self, floor, shared):
+        # The right frontier advances first, so a floor-blind key would
+        # copy its row, which the floor cut harder, onto the left one.
+        m = len(self.query)
+        frontiers = [self.right, self.left]
+        engine = ReuseEngine(enabled=True)
+        out = engine.advance_forks(
+            [dict(fr) for fr in frontiers], "G", self.query, m, DEFAULT_SCHEME,
+            0, None, col_floor=floor,
+        )
+        direct = [
+            advance_row(dict(fr), "G", self.query, m, DEFAULT_SCHEME, 0, None,
+                        col_floor=floor)
+            for fr in frontiers
+        ]
+        assert out == direct
+        assert engine.memo_hits == (1 if shared else 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_engine_right_edge_forks_meet_the_floor(self, seed):
+        # sa > -ss and a short periodic query: the shifted forks of each
+        # gram sit a few columns from the right edge, where the column
+        # floor binds and reuse keys pin the column.
+        scheme = ScoringScheme(5, -5, -4, -2)
+        rng = np.random.default_rng(seed)
+        flank = ["".join(DNA.chars[c] for c in rng.integers(0, 4, 60)) for _ in "ab"]
+        text = flank[0] + "ACG" * 5 + flank[1]
+        query = "ACG" * 4
+        for threshold in (10, 20, 30):
+            sw = smith_waterman_all_hits(text, query, scheme, threshold)
+            sweep = ALAE(text, DNA, scheme).search(query, threshold=threshold)
+            ref = ALAE(text, DNA, scheme, use_vectorized=False).search(
+                query, threshold=threshold
+            )
+            assert sweep.hits.as_score_set() == sw.as_score_set()
+            assert sweep.hits.hits() == ref.hits.hits()
+            assert sweep.stats.calculated == ref.stats.calculated
+            assert sweep.stats.reused == ref.stats.reused
+            assert sweep.stats.nodes_visited == ref.stats.nodes_visited
+            assert all(hit.p_end <= len(query) for hit in sweep.hits)
+
+
 class TestReuseEngineEquivalence:
     def _advance_all(self, frontiers, char, query, enabled):
         engine = ReuseEngine(enabled=enabled)
