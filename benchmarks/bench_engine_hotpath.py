@@ -14,9 +14,10 @@ two engines (hits, ordering, t_start, and the x1/x2/x3 cost counters), so
 the benchmark doubles as an equivalence gate: a speedup obtained by
 diverging from the reference is reported as a hard failure, not a win.
 
-Timings interleave the two engines and take the median of several
-repetitions (this container's scheduler is noisy); engine construction and
-the dominate-index build are excluded (warmed before timing).
+Timings alternate the two engines rep by rep (one pass of the query
+batch each) and take each engine's median over the reps, so a machine
+that drifts during the run slows both alike; engine construction and the
+dominate-index build are excluded (warmed before timing).
 
 The JSON report seeds the repo's perf trajectory (``BENCH_engine.json``)::
 
@@ -85,15 +86,19 @@ def stats_signature(stats):
     )
 
 
-def time_engine(engine, queries, threshold, reps):
-    """Median per-query seconds over ``reps`` passes of the whole batch."""
-    samples = []
+def time_engines(engines, queries, threshold, reps):
+    """Each engine's median per-query seconds over ``reps`` batch passes.
+
+    Every rep times one pass per engine, in turn, so drift hits all alike.
+    """
+    samples = [[] for _ in engines]
     for _ in range(reps):
-        started = time.perf_counter()
-        for query in queries:
-            engine.search(query, threshold=threshold)
-        samples.append((time.perf_counter() - started) / len(queries))
-    return statistics.median(samples)
+        for engine, own in zip(engines, samples):
+            started = time.perf_counter()
+            for query in queries:
+                engine.search(query, threshold=threshold)
+            own.append((time.perf_counter() - started) / len(queries))
+    return [statistics.median(own) for own in samples]
 
 
 def run_component(spec, n, query_count, reps):
@@ -128,9 +133,9 @@ def run_component(spec, n, query_count, reps):
 
     rows = []
     for threshold in spec["thresholds"]:
-        # Interleave the engines so machine noise hits both alike.
-        ref_s = time_engine(ref, workload.queries, threshold, reps)
-        vec_s = time_engine(vec, workload.queries, threshold, reps)
+        ref_s, vec_s = time_engines(
+            (ref, vec), workload.queries, threshold, reps
+        )
         rows.append(
             {
                 "threshold": threshold,

@@ -86,10 +86,10 @@ class ALAE:
         ranges taken by batched rank gathers and their NGR forks scored,
         bounded and filtered as arrays; gap-phase forks, hit location and
         the unary nodes of thin levels (consumed straight from the text)
-        stay per node.  ``False`` keeps the per-fork, depth-first scalar reference
-        traversal.  Both visit the same nodes and return bit-identical
-        results and statistics (the differential fuzz suite asserts it).
-        See README "Engine internals".
+        stay per node.  ``False`` keeps the per-fork, depth-first scalar
+        reference traversal.  Both visit the same nodes and return
+        bit-identical results and statistics (the differential fuzz suite
+        asserts it).  See README "Engine internals".
     """
 
     def __init__(
@@ -448,9 +448,9 @@ class ALAE:
         gap-phase forks advance per node and child through the Sec. 4
         reuse engine (:func:`advance_row`), hits are located per child
         (:meth:`_locate_ends`), and the unary nodes of a thin level are
-        handed to text mode (:meth:`_chain_text`).  The sweep visits the nodes the
-        scalar reference visits and calculates the same entries, in
-        another order; hits and every counter are identical (the
+        handed to text mode (:meth:`_chain_text`).  The sweep visits the
+        nodes the scalar reference visits and calculates the same entries,
+        in another order; hits and every counter are identical (the
         differential fuzz suite asserts it).
         """
         qcodes, _qlist, live_rows = vec_state

@@ -96,14 +96,13 @@ class ReuseEngine:
         Returns the new frontiers, positionally matching the input list
         (empty dict = fork died).
         """
+        def advance(fr: Frontier) -> Frontier:
+            return advance_row(
+                fr, x_char, query, m, scheme, live, counter, col_floor=col_floor
+            )
+
         if not self.enabled or len(frontiers) < 2:
-            return [
-                advance_row(
-                    fr, x_char, query, m, scheme, live, counter,
-                    col_floor=col_floor,
-                )
-                for fr in frontiers
-            ]
+            return [advance(fr) for fr in frontiers]
 
         # Cheap pre-grouping: full reuse keys are only built for frontiers
         # whose (size, score multiset) signature collides — the common case
@@ -124,12 +123,7 @@ class ReuseEngine:
                 out.append({})
                 continue
             if sig_counts[sig] < 2:
-                out.append(
-                    advance_row(
-                        fr, x_char, query, m, scheme, live, counter,
-                        col_floor=col_floor,
-                    )
-                )
+                out.append(advance(fr))
                 continue
             key = frontier_reuse_key(fr, query, m, scheme, live, col_floor)
             base = min(fr)
@@ -143,10 +137,7 @@ class ReuseEngine:
                 out.append(copied)
                 continue
             self.memo_misses += 1
-            new_fr = advance_row(
-                fr, x_char, query, m, scheme, live, counter,
-                col_floor=col_floor,
-            )
+            new_fr = advance(fr)
             memo[key] = (base, new_fr)
             out.append(new_fr)
         return out

@@ -19,8 +19,9 @@ length-prefixed JSON protocol of :mod:`repro.server.protocol`:
   batches drain, the service is reopened, the cache is invalidated, and
   the generation counter bumps — clients never see a mixed-index batch;
 * ``stats`` reports qps, latency percentiles, cache hit rate, queue depth,
-  batch shape, reload generation and failed reload polls (count and last
-  error); ``ping`` / ``reload`` / ``shutdown`` round out the ops.
+  batch shape, reload generation and its age, and failed reload polls
+  (count and last error); ``ping`` / ``reload`` / ``shutdown`` round out
+  the ops.
 
 Served hits are bit-identical to the offline ``search-db --index`` path:
 the server calls the very same service layer, it just keeps it resident.
@@ -95,6 +96,10 @@ _INFLIGHT = Gauge(
 )
 _GENERATION = Gauge(
     "repro_server_generation", "Hot-reload generation of the resident index"
+)
+_GENERATION_START = Gauge(
+    "repro_server_generation_start_seconds",
+    "Unix time at which the served index generation went live",
 )
 _QUEUE_EWMA = Gauge(
     "repro_server_queue_depth_ewma",
@@ -296,6 +301,7 @@ class SearchServer:
         )
         self.generation = 1
         _GENERATION.set(self.generation)
+        _GENERATION_START.set(time.time())
         if self._request_log_path is not None:
             # Built on the executor thread: schema creation is SQLite I/O.
             self._request_log = await loop.run_in_executor(
@@ -466,6 +472,7 @@ class SearchServer:
             self._epoch = epoch
             self.generation += 1
             _GENERATION.set(self.generation)
+            _GENERATION_START.set(time.time())
             self._cache.clear()
             self._stats.count("reloads_total")
             logger.info(
@@ -630,6 +637,7 @@ class SearchServer:
             )
             body.update(self._batch_shape)
             body["last_reload_error"] = self._last_reload_error
+            body["generation_age_s"] = time.time() - _GENERATION_START.value
             body["cache_size"] = len(self._cache)
             body["routing"] = self.routing_signals()
             if self._request_log is not None:

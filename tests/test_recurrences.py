@@ -161,25 +161,29 @@ class TestColumnFloor:
         ],
         ids=["dna", "protein", "sa-over-ss"],
     )
-    def test_property_real_calls(self, monkeypatch, alphabet, scheme, length, threshold):
+    def test_property_real_calls(
+        self, monkeypatch, alphabet, scheme, length, threshold
+    ):
         # Replay every gap-row advance of real searches with and without
         # the floor the engine passed.
         calls = []
         real = reuse_module.advance_row
 
         def spy(frontier, x_char, query, m, scheme, live, counter=None, **kw):
-            calls.append((dict(frontier), x_char, query, scheme, live, kw["col_floor"]))
+            floor = kw["col_floor"]
+            calls.append((dict(frontier), x_char, query, scheme, live, floor))
             return real(frontier, x_char, query, m, scheme, live, counter, **kw)
 
         for module in (alae_module, reuse_module):
             monkeypatch.setattr(module, "advance_row", spy)
+        chars = alphabet.chars
         rng = np.random.default_rng(5)
-        text = "".join(alphabet.chars[c] for c in rng.integers(0, alphabet.size, 3000))
+        text = "".join(chars[c] for c in rng.integers(0, len(chars), 3000))
         engine = ALAE(text, alphabet, scheme)
         for start in (100, 900, 2100):
             query = list(text[start : start + length])
             for pos in range(7, length, 11):  # substitutions and one deletion
-                query[pos] = alphabet.chars[(alphabet.chars.index(query[pos]) + 1) % alphabet.size]
+                query[pos] = chars[(chars.index(query[pos]) + 1) % len(chars)]
             del query[length // 2]
             engine.search("".join(query), threshold=threshold)
         assert calls

@@ -21,6 +21,7 @@ import pytest
 from repro import IndexStore, SearchService, ShardedStore, genome, write_fasta
 from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord
+from repro.obs.metrics import REGISTRY
 from repro.server import (
     BatchKey,
     CachedResult,
@@ -641,6 +642,22 @@ class TestHotReload:
                     query, threshold=THRESHOLD
                 )
                 assert after.results[0].hits == offline.results[0].hits
+
+    def test_reload_resets_the_generation_age(self, serving_setup, tmp_path):
+        path = tmp_path / "age.idx"
+        IndexStore.build(serving_setup["database"]).save(path)
+        server = SearchServer(path, port=0, reload_poll=0)
+        with ServerThread(server) as handle:
+            with fresh_client(handle) as client:
+                time.sleep(0.3)
+                aged = client.stats()["stats"]["generation_age_s"]
+                assert aged >= 0.3
+                _records, database = self._build(serving_setup, 31)
+                IndexStore.build(database).save(path)
+                assert client.reload()["reloaded"] is True
+                assert client.stats()["stats"]["generation_age_s"] < aged
+                gauge = REGISTRY.get("repro_server_generation_start_seconds")
+                assert time.time() - gauge.value < aged
 
     def test_poll_reloads_without_an_rpc(self, serving_setup, tmp_path):
         path = tmp_path / "poll.idx"
