@@ -323,21 +323,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    server = SearchServer(
-        index,
-        host=args.host,
-        port=args.port,
-        max_batch=args.max_batch,
-        linger=args.linger_ms / 1000.0,
-        max_queue=args.max_queue,
-        cache_size=args.cache_size,
-        reload_poll=args.reload_poll,
-        workers=args.workers,
-        executor=args.executor,
-        mode=args.mode,
-        request_log=args.request_log,
-        metrics_port=args.metrics_port,
-    )
+    try:
+        server = SearchServer(
+            index,
+            host=args.host,
+            port=args.port,
+            max_batch=args.max_batch,
+            max_queue=args.max_queue,
+            cache_size=args.cache_size,
+            reload_poll=args.reload_poll,
+            workers=args.workers,
+            executor=args.executor,
+            mode=args.mode,
+            request_log=args.request_log,
+            metrics_port=args.metrics_port,
+        )
+    except ValueError as exc:  # a bad batch shape, before the index opens
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     async def _amain() -> None:
         await server.start()
@@ -347,8 +350,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 args.host, server.metrics_port,
             )
         logger.info(
-            "batch shape: max_batch=%d linger=%gms queue=%d cache=%d",
-            args.max_batch, args.linger_ms, args.max_queue, args.cache_size,
+            "batch shape: max_batch=%d queue=%d cache=%d",
+            args.max_batch, args.max_queue, args.cache_size,
         )
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -894,10 +897,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-batch", type=int, default=16, metavar="N",
         help="max queries coalesced into one engine batch",
-    )
-    serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="max milliseconds a batch waits for more queries",
     )
     serve.add_argument(
         "--max-queue", type=int, default=256, metavar="N",

@@ -65,7 +65,6 @@ from repro.obs.replay import (
 from repro.obs.reqlog import REQUEST_COLUMNS, RequestLog, query_hash
 from repro.obs.spans import (
     SPAN_ADMISSION_WAIT,
-    SPAN_BATCH_LINGER,
     SPAN_ENGINE,
     SPAN_LOCATE,
     SPAN_MERGE,
@@ -121,7 +120,6 @@ __all__ = [
     "RequestLog",
     "query_hash",
     "SPAN_ADMISSION_WAIT",
-    "SPAN_BATCH_LINGER",
     "SPAN_ENGINE",
     "SPAN_LOCATE",
     "SPAN_MERGE",

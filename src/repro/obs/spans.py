@@ -7,15 +7,14 @@ canonical names thread one request's life through the stack:
 
 ==================  ============================================================
 ``admission_wait``  submit-to-dispatch wait in the server's micro-batch queue
-``batch_linger``    how long the batch a query rode in waited for company
 ``engine``          backend search time (ALAE / fast / verified traversal)
 ``locate``          hit attribution: record lookup + boundary recheck
 ``merge``           sharded fan-in: global re-ordering and stat folding
 ``shard<i>``        engine+locate work attributable to shard ``i``
 ==================  ============================================================
 
-``admission_wait`` and ``batch_linger`` are batcher properties, so they are
-accumulated server-side (``stats`` RPC); the rest ride each result's
+``admission_wait`` is a batcher property, so it is accumulated server-side
+(``stats`` RPC, one sample per query); the rest ride each result's
 ``SearchStats.spans`` and come back per query under ``repro query --trace``.
 ``SearchStats.merge`` sums span values, so a batch's spans aggregate the
 same way every other counter does.
@@ -26,7 +25,6 @@ from __future__ import annotations
 from time import perf_counter
 
 SPAN_ADMISSION_WAIT = "admission_wait"
-SPAN_BATCH_LINGER = "batch_linger"
 SPAN_ENGINE = "engine"
 SPAN_LOCATE = "locate"
 SPAN_MERGE = "merge"

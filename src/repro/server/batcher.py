@@ -4,12 +4,13 @@ Concurrent in-flight ``search`` requests — from any number of connections —
 land as individual :class:`PendingQuery` items on one bounded queue.  A
 single dispatcher task assembles them into batches and hands each batch to
 a blocking runner (one ``SearchService.search_batch`` call) on an executor
-thread, so N concurrent clients cost one engine dispatch instead of N:
+thread:
 
-* a batch grows until it holds ``max_batch`` queries or ``linger`` seconds
-  have passed since its first query arrived — under load batches fill
-  instantly and the linger never matters; when idle a lone query waits at
-  most ``linger`` before running alone;
+* the dispatcher runs a batch as soon as the lane is free: it takes the
+  head query plus the queries queued right behind it under the same
+  :class:`BatchKey`, up to ``max_batch``, and never waits on a timer — a
+  lone query on an idle server runs at once, and batches form from the
+  queries that arrive while the previous batch runs;
 * only queries with the same :class:`BatchKey` (threshold / e-value /
   top-k / search mode) can share a ``search_batch`` call; a query with a
   different key seeds the *next* batch instead of being reordered behind
@@ -28,13 +29,13 @@ worker pool parallelises *inside* the batch), and it takes ``pause`` — an
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Awaitable, Callable
 
 from repro.errors import ReproError
 from repro.obs.metrics import SIZE_BUCKETS, Counter, Gauge, Histogram
-from repro.obs.spans import SPAN_ADMISSION_WAIT, SPAN_BATCH_LINGER
 from repro.service import Query, QueryResult
 
 _ADMISSION_WAIT_SECONDS = Histogram(
@@ -90,32 +91,34 @@ BatchRunner = Callable[[list[Query], BatchKey], Awaitable[list[QueryResult]]]
 
 
 class MicroBatcher:
-    """Coalesce admitted queries into batches and run them serially."""
+    """Coalesce admitted queries into batches and run them serially.
+
+    ``on_batch`` hears of every dispatched batch, failed ones included:
+    it receives each member's admission wait in seconds (the list's length
+    is the batch size), the same observations the batcher's histograms
+    record.
+    """
 
     def __init__(
         self,
         runner: BatchRunner,
         *,
         max_batch: int = 16,
-        linger: float = 0.002,
         max_queue: int = 256,
         pause: asyncio.Lock | None = None,
-        on_batch: Callable[[int, dict], None] | None = None,
+        on_batch: Callable[[list[float]], None] | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if linger < 0:
-            raise ValueError(f"linger must be >= 0, got {linger}")
         self._runner = runner
         self.max_batch = max_batch
-        self.linger = linger
         self.max_queue = max_queue
         self.pause = pause if pause is not None else asyncio.Lock()
         self._on_batch = on_batch
-        self._queue: "asyncio.Queue[PendingQuery | None]" = asyncio.Queue()
-        self._holdover: PendingQuery | None = None
+        self._queue: deque[PendingQuery] = deque()
+        self._arrived = asyncio.Event()
         self._pending = 0  # admitted and not yet resolved
         self._task: asyncio.Task | None = None
         self._stopping = False
@@ -132,11 +135,11 @@ class MicroBatcher:
             )
 
     async def stop(self) -> None:
-        """Refuse new work, let the in-flight batch finish, fail the rest."""
+        """Refuse new work, run every query already admitted, then return."""
         self._stopping = True
         if self._task is None:
             return
-        await self._queue.put(None)  # wake the dispatcher if it is idle
+        self._arrived.set()  # wake the dispatcher if it is idle
         await self._task
         self._task = None
 
@@ -150,86 +153,55 @@ class MicroBatcher:
                 f"limit {self.max_queue})"
             )
         future = asyncio.get_running_loop().create_future()
-        item = PendingQuery(query=query, key=key, future=future)
+        self._queue.append(PendingQuery(query=query, key=key, future=future))
         self._pending += 1
         _SUBMITTED_TOTAL.inc()
         _QUEUE_DEPTH.set(self._pending)
-        self._queue.put_nowait(item)
+        self._arrived.set()
         return future
 
     # ---------------------------------------------------------- dispatching
-    async def _next_item(self, timeout: float | None) -> "PendingQuery | None":
-        if timeout is None:
-            return await self._queue.get()
-        if timeout <= 0:
-            try:
-                return self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                return None
-        try:
-            return await asyncio.wait_for(self._queue.get(), timeout)
-        except asyncio.TimeoutError:
-            return None
-
     async def _dispatch_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        while True:
-            first = self._holdover
-            self._holdover = None
-            if first is None:
-                first = await self._queue.get()
-            if first is None:  # stop sentinel
-                break
-            batch = [first]
-            deadline = loop.time() + self.linger
-            while len(batch) < self.max_batch:
-                item = await self._next_item(deadline - loop.time())
-                if item is None:
-                    break  # linger spent (or the stop sentinel arrived)
-                if item.key != first.key:
-                    self._holdover = item
-                    break
-                batch.append(item)
-            await self._run_batch(batch)
-            if self._stopping and self._holdover is None and self._queue.empty():
-                break
-        self._fail_remaining(ReproError("server is shutting down"))
+        while self._queue or not self._stopping:
+            if not self._queue:
+                self._arrived.clear()
+                await self._arrived.wait()
+                continue
+            async with self.pause:  # a reload in progress finishes first
+                await self._run_batch(self._take_batch())
+
+    def _take_batch(self) -> list[PendingQuery]:
+        """The head query plus those queued right behind it under its key."""
+        batch = [self._queue.popleft()]
+        while (
+            self._queue
+            and len(batch) < self.max_batch
+            and self._queue[0].key == batch[0].key
+        ):
+            batch.append(self._queue.popleft())
+        return batch
 
     async def _run_batch(self, batch: list[PendingQuery]) -> None:
         run_start = perf_counter()
-        # Queue-time accounting: how long the members waited for dispatch
-        # (admission wait, summed) and how long the batch as a whole
-        # lingered for company (its oldest member's wait).
-        batch_spans = {
-            SPAN_ADMISSION_WAIT: sum(
-                max(0.0, run_start - item.submitted) for item in batch
-            ),
-            SPAN_BATCH_LINGER: max(
-                0.0, run_start - min(item.submitted for item in batch)
-            ),
-        }
-        for item in batch:
-            _ADMISSION_WAIT_SECONDS.observe(max(0.0, run_start - item.submitted))
+        waits = [max(0.0, run_start - item.submitted) for item in batch]
+        for wait in waits:
+            _ADMISSION_WAIT_SECONDS.observe(wait)
         _BATCH_SIZE.observe(len(batch))
-        async with self.pause:  # a reload in progress finishes first
-            queries = [item.query for item in batch]
-            try:
-                results = await self._runner(queries, batch[0].key)
-            # repro-lint: allow[REP501] -- whatever the engine/service threw
-            # must fail every waiting future; a narrowed catch would leave
-            # clients of this batch hanging forever on an unforeseen error.
-            except Exception as exc:
-                for item in batch:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
-                self._pending -= len(batch)
-                _QUEUE_DEPTH.set(self._pending)
-                return
-        if len(results) != len(batch):
-            exc = ReproError(
-                f"batch runner returned {len(results)} results for "
-                f"{len(batch)} queries"
+        if self._on_batch is not None:
+            self._on_batch(waits)
+        try:
+            results = await self._runner(
+                [item.query for item in batch], batch[0].key
             )
+            if len(results) != len(batch):
+                raise ReproError(
+                    f"batch runner returned {len(results)} results for "
+                    f"{len(batch)} queries"
+                )
+        # repro-lint: allow[REP501] -- whatever the engine/service threw
+        # must fail every waiting future; a narrowed catch would leave
+        # clients of this batch hanging forever on an unforeseen error.
+        except Exception as exc:
             for item in batch:
                 if not item.future.done():
                     item.future.set_exception(exc)
@@ -238,24 +210,4 @@ class MicroBatcher:
                 if not item.future.done():  # client may have gone away
                     item.future.set_result(result)
         self._pending -= len(batch)
-        _QUEUE_DEPTH.set(self._pending)
-        if self._on_batch is not None:
-            self._on_batch(len(batch), batch_spans)
-
-    def _fail_remaining(self, exc: Exception) -> None:
-        if self._holdover is not None:
-            if not self._holdover.future.done():
-                self._holdover.future.set_exception(exc)
-            self._pending -= 1
-            self._holdover = None
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is None:
-                continue
-            if not item.future.done():
-                item.future.set_exception(exc)
-            self._pending -= 1
         _QUEUE_DEPTH.set(self._pending)

@@ -11,9 +11,11 @@ length-prefixed JSON protocol of :mod:`repro.server.protocol`:
   backpressure — when a client races too far ahead;
 * ``search`` requests pass admission control (fast-fail ``overloaded`` when
   the global queue is full), then an LRU result cache, then the
-  :class:`~repro.server.batcher.MicroBatcher`, which coalesces concurrent
-  queries into single ``search_batch`` calls on an executor thread — the
-  event loop never blocks on alignment work;
+  :class:`~repro.server.batcher.MicroBatcher`, which runs each batch as
+  soon as the lane is free, as one ``search_batch`` call on an executor
+  thread: a lone query runs at once, and queries that arrive while a batch
+  runs coalesce into the next one — the event loop never blocks on
+  alignment work;
 * a background task polls the on-disk index fingerprint (header CRC for a
   store, manifest payload CRC for shards) and **hot-reloads**: in-flight
   batches drain, the service is reopened, the cache is invalidated, and
@@ -177,8 +179,9 @@ class SearchServer:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read it back from
         :attr:`port` after :meth:`start`).
-    max_batch, linger, max_queue:
-        Micro-batcher shape — see :class:`~repro.server.batcher.MicroBatcher`.
+    max_batch, max_queue:
+        Micro-batcher shape — see :class:`~repro.server.batcher.MicroBatcher`;
+        both must be at least 1, checked here before any index is opened.
     cache_size:
         Result-LRU capacity in queries (0 disables caching).
     reload_poll:
@@ -216,7 +219,6 @@ class SearchServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_batch: int = 16,
-        linger: float = 0.002,
         max_queue: int = 256,
         cache_size: int = 1024,
         reload_poll: float = 2.0,
@@ -246,16 +248,21 @@ class SearchServer:
         }
         self._cache = ResultCache(cache_size)
         self._stats = ServerStats()
-        self._batch_shape = {
-            "max_batch": max_batch, "linger": linger, "max_queue": max_queue,
-        }
+        # Built here so a bad batch shape fails before the index opens; the
+        # asyncio primitives bind to the serving loop on first use.
+        self._pause = asyncio.Lock()
+        self._batcher = MicroBatcher(
+            self._run_batch,
+            max_batch=max_batch,
+            max_queue=max_queue,
+            pause=self._pause,
+            on_batch=self._stats.record_batch,
+        )
         self.service: "SearchService | ShardedSearchService | None" = None
         self._epoch: int | None = None
         self.generation = 0
         self._server: asyncio.AbstractServer | None = None
         self._bound_port: int | None = None
-        self._batcher: MicroBatcher | None = None
-        self._pause: asyncio.Lock | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._reload_task: asyncio.Task | None = None
         self._conn_tasks: set[asyncio.Task] = set()
@@ -291,7 +298,6 @@ class SearchServer:
         """Open the index, bind the socket, start batcher and reload poll."""
         loop = asyncio.get_running_loop()
         self._stopped_event = asyncio.Event()
-        self._pause = asyncio.Lock()
         # One thread runs batches and reload opens; the event loop stays free.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-serve"
@@ -308,12 +314,6 @@ class SearchServer:
                 self._executor, RequestLog, self._request_log_path
             )
             logger.info("request log -> %s", self._request_log_path)
-        self._batcher = MicroBatcher(
-            self._run_batch,
-            pause=self._pause,
-            on_batch=self._on_batch,
-            **self._batch_shape,
-        )
         self._batcher.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self._requested_port
@@ -353,8 +353,7 @@ class SearchServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._batcher is not None:
-            await self._batcher.stop()
+        await self._batcher.stop()
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -381,11 +380,6 @@ class SearchServer:
         return loop.run_in_executor(
             self._executor, self._search_batch_sync, queries, key
         )
-
-    def _on_batch(self, count: int, spans: dict) -> None:
-        """Batcher callback: batch shape plus queue-time span totals."""
-        self._stats.record_batch(count)
-        self._stats.record_spans(spans)
 
     def _search_batch_sync(
         self, queries: list[Query], key: BatchKey
@@ -449,7 +443,7 @@ class SearchServer:
         Drains in-flight work first: the pause lock is only granted between
         batches, so no batch ever spans two index generations.
         """
-        assert self._pause is not None and self._executor is not None
+        assert self._executor is not None
         loop = asyncio.get_running_loop()
         on_disk = await loop.run_in_executor(
             self._executor, index_epoch, self.index_path
@@ -596,12 +590,13 @@ class SearchServer:
 
     # --------------------------------------------------------------- requests
     def routing_signals(self) -> dict:
-        """Budget-routing inputs: queue pressure + per-mode latency quantiles.
+        """Queue pressure and per-mode latency quantiles, as one block.
 
-        The next PR's latency-budget router consumes this block (also
-        embedded in ``stats`` and ``metrics`` responses): pick the cheapest
-        mode whose p99 fits the caller's budget, backing off when the EWMA
-        queue depth says the batcher is saturated.
+        Embedded in ``stats`` and ``metrics`` responses, and drawn by
+        ``repro top``: the batcher's live depth, its EWMA as sampled at
+        each search request, and p50/p90/p99 of served latency per mode
+        from ``repro_server_request_seconds`` (bucket upper bounds).  It
+        is a report for operators; nothing in the server acts on it.
         """
         quantiles = {}
         for labels, child in _REQUEST_SECONDS.series():
@@ -612,7 +607,7 @@ class SearchServer:
                     "p99": child.quantile(0.99),
                 }
         return {
-            "queue_depth": self._batcher.depth if self._batcher else 0,
+            "queue_depth": self._batcher.depth,
             "ewma_queue_depth": round(self._queue_ewma.value, 4),
             "latency_quantiles": quantiles,
         }
@@ -631,11 +626,11 @@ class SearchServer:
         if op == "search":
             return await self._handle_search(payload)
         if op == "stats":
-            assert self._batcher is not None
             body = self._stats.snapshot(
                 queue_depth=self._batcher.depth, generation=self.generation
             )
-            body.update(self._batch_shape)
+            body["max_batch"] = self._batcher.max_batch
+            body["max_queue"] = self._batcher.max_queue
             body["last_reload_error"] = self._last_reload_error
             body["generation_age_s"] = time.time() - _GENERATION_START.value
             body["cache_size"] = len(self._cache)
@@ -770,7 +765,6 @@ class SearchServer:
             )
 
     async def _handle_search(self, payload: dict) -> dict:
-        assert self._batcher is not None
         loop = asyncio.get_running_loop()
         arrived = loop.time()
         try:

@@ -13,6 +13,8 @@ import threading
 import time
 from collections import deque
 
+from repro.obs.spans import SPAN_ADMISSION_WAIT
+
 
 class LatencyWindow:
     """Percentiles over the last ``size`` observations (seconds)."""
@@ -112,19 +114,24 @@ class ServerStats:
         with self._lock:
             setattr(self, field, getattr(self, field) + amount)
 
-    def record_batch(self, queries: int) -> None:
+    def record_batch(self, waits: list[float]) -> None:
+        """Fold one dispatched batch, failed or not: its size, and each
+        member's admission wait as one ``admission_wait`` sample."""
         with self._lock:
             self.batches_total += 1
-            self.batched_queries_total += queries
+            self.batched_queries_total += len(waits)
+            self._fold_span(SPAN_ADMISSION_WAIT, sum(waits), len(waits))
 
     def record_spans(self, spans: dict) -> None:
-        """Fold one request's (or batch's) span breakdown into the totals."""
+        """Fold one query's span breakdown into the totals."""
         with self._lock:
             for name, seconds in spans.items():
-                self.span_seconds[name] = (
-                    self.span_seconds.get(name, 0.0) + seconds
-                )
-                self.span_counts[name] = self.span_counts.get(name, 0) + 1
+                self._fold_span(name, seconds, 1)
+
+    def _fold_span(self, name: str, seconds: float, count: int) -> None:
+        # The caller holds ``_lock``.
+        self.span_seconds[name] = self.span_seconds.get(name, 0.0) + seconds
+        self.span_counts[name] = self.span_counts.get(name, 0) + count
 
     def snapshot(self, *, queue_depth: int, generation: int) -> dict:
         with self._lock:

@@ -307,6 +307,16 @@ class TestServeQueryCli:
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_serve_rejects_bad_batch_shape_before_opening(
+        self, tmp_path, capsys
+    ):
+        # Not an index at all: the shape check must come first.
+        index = tmp_path / "db.idx"
+        index.write_bytes(b"not an index")
+        code = main(["serve", "--index", str(index), "--max-batch", "0"])
+        assert code == 2
+        assert "max_batch must be >= 1" in capsys.readouterr().err
+
     def test_serve_gates_shard_manifests(self, tmp_path, capsys):
         import numpy as np
 

@@ -76,8 +76,7 @@ def serving_setup(tmp_path_factory):
 def running_server(serving_setup):
     """One shared sharded server with an ephemeral metrics port."""
     server = SearchServer(
-        serving_setup["sharded"], port=0, reload_poll=0, linger=0.001,
-        metrics_port=0,
+        serving_setup["sharded"], port=0, reload_poll=0, metrics_port=0,
     )
     with ServerThread(server) as handle:
         yield handle

@@ -84,9 +84,7 @@ def serving_setup(tmp_path_factory):
 @pytest.fixture(scope="module")
 def running_server(serving_setup):
     """One shared server over the monolithic store (ephemeral port)."""
-    server = SearchServer(
-        serving_setup["mono"], port=0, reload_poll=0, linger=0.001
-    )
+    server = SearchServer(serving_setup["mono"], port=0, reload_poll=0)
     with ServerThread(server) as handle:
         yield handle
 
@@ -314,6 +312,62 @@ class TestMicroBatcher:
     def _key(self, threshold=THRESHOLD):
         return BatchKey(threshold=threshold, e_value=None, top_k=None)
 
+    def test_lone_query_dispatches_without_waiting(self):
+        """An idle lane runs a lone query at once: no timer, no linger."""
+
+        async def main():
+            reached = asyncio.Event()
+
+            async def runner(queries, key):
+                reached.set()
+                return [q.id for q in queries]
+
+            batcher = MicroBatcher(runner)
+            batcher.start()
+            future = batcher.submit(Query("q", "ACGT"), self._key())
+            for _ in range(5):  # loop turns only: no wall-clock wait
+                if reached.is_set():
+                    break
+                await asyncio.sleep(0)
+            dispatched = reached.is_set()
+            result = await asyncio.wait_for(future, 5)
+            await batcher.stop()
+            return dispatched, result
+
+        dispatched, result = asyncio.run(main())
+        assert dispatched
+        assert result == "q"
+
+    def test_batches_form_while_the_lane_is_busy(self):
+        async def main():
+            calls = []
+            started = asyncio.Event()
+            release = asyncio.Event()
+
+            async def runner(queries, key):
+                calls.append(len(queries))
+                if len(calls) == 1:
+                    started.set()
+                    await release.wait()  # hold the lane
+                return [q.id for q in queries]
+
+            batcher = MicroBatcher(runner, max_batch=8)
+            batcher.start()
+            first = batcher.submit(Query("q0", "ACGT"), self._key())
+            await asyncio.wait_for(started.wait(), 5)
+            rest = [
+                batcher.submit(Query(f"q{i}", "ACGT"), self._key())
+                for i in range(1, 4)
+            ]
+            release.set()
+            results = await asyncio.wait_for(asyncio.gather(first, *rest), 5)
+            await batcher.stop()
+            return calls, results
+
+        calls, results = asyncio.run(main())
+        assert calls == [1, 3]
+        assert results == ["q0", "q1", "q2", "q3"]
+
     def test_coalesces_concurrent_submissions(self):
         async def main():
             calls = []
@@ -322,7 +376,7 @@ class TestMicroBatcher:
                 calls.append(len(queries))
                 return [q.id for q in queries]
 
-            batcher = MicroBatcher(runner, max_batch=8, linger=0.05)
+            batcher = MicroBatcher(runner, max_batch=8)
             batcher.start()
             futures = [
                 batcher.submit(Query(f"q{i}", "ACGT"), self._key())
@@ -344,7 +398,7 @@ class TestMicroBatcher:
                 calls.append(len(queries))
                 return [q.id for q in queries]
 
-            batcher = MicroBatcher(runner, max_batch=2, linger=0.05)
+            batcher = MicroBatcher(runner, max_batch=2)
             batcher.start()
             futures = [
                 batcher.submit(Query(f"q{i}", "ACGT"), self._key())
@@ -366,7 +420,7 @@ class TestMicroBatcher:
                 calls.append((key.threshold, len(queries)))
                 return [q.id for q in queries]
 
-            batcher = MicroBatcher(runner, max_batch=8, linger=0.05)
+            batcher = MicroBatcher(runner, max_batch=8)
             batcher.start()
             futures = [
                 batcher.submit(Query(f"q{i}", "ACGT"), self._key(10 + i % 2))
@@ -389,7 +443,7 @@ class TestMicroBatcher:
                 await release.wait()
                 return [q.id for q in queries]
 
-            batcher = MicroBatcher(runner, max_batch=1, linger=0, max_queue=2)
+            batcher = MicroBatcher(runner, max_batch=1, max_queue=2)
             batcher.start()
             admitted = [
                 batcher.submit(Query(f"q{i}", "ACGT"), self._key())
@@ -408,7 +462,7 @@ class TestMicroBatcher:
             async def runner(queries, key):
                 raise ValueError("engine exploded")
 
-            batcher = MicroBatcher(runner, max_batch=4, linger=0.01)
+            batcher = MicroBatcher(runner, max_batch=4)
             batcher.start()
             future = batcher.submit(Query("q", "ACGT"), self._key())
             with pytest.raises(ValueError, match="engine exploded"):
@@ -556,11 +610,26 @@ class TestServerBehaviour:
     def test_concurrent_clients_micro_batch(self, serving_setup):
         server = SearchServer(
             serving_setup["mono"], port=0, reload_poll=0,
-            max_batch=8, linger=0.02, cache_size=0,
+            max_batch=8, cache_size=0,
         )
         records = serving_setup["records"]
         errors: list = []
 
+        search_batch = server._search_batch_sync
+        held = threading.Event()
+
+        def hold_first_batch(queries, key):
+            # Keep the lane busy until all eight queries are admitted, so
+            # the seven that queue behind the first must coalesce.
+            if not held.is_set():
+                held.set()
+                deadline = time.monotonic() + 30
+                while server._batcher.depth < 8:
+                    assert time.monotonic() < deadline, "clients never queued"
+                    time.sleep(0.005)
+            return search_batch(queries, key)
+
+        server._search_batch_sync = hold_first_batch
         with ServerThread(server) as handle:
             def worker(i: int) -> None:
                 try:
@@ -588,6 +657,46 @@ class TestServerBehaviour:
         # Coalescing happened: fewer engine batches than queries.
         assert stats["batches_total"] < 8
         assert stats["mean_batch_size"] > 1.0
+
+    def test_queue_wait_accounting_agrees_with_the_registry(
+        self, serving_setup
+    ):
+        """stats and the batcher histograms see the same batches and queries:
+        failed batches count, and each query is one admission-wait sample."""
+        server = SearchServer(
+            serving_setup["mono"], port=0, reload_poll=0, cache_size=0
+        )
+        search_batch = server._search_batch_sync
+
+        def fail_on_boom(queries, key):
+            if any(query.id == "boom" for query in queries):
+                raise ServiceError("injected batch failure")
+            return search_batch(queries, key)
+
+        server._search_batch_sync = fail_on_boom
+        sizes = REGISTRY.get("repro_batcher_batch_size")
+        waits = REGISTRY.get("repro_batcher_admission_wait_seconds")
+        records = serving_setup["records"]
+        queries = [
+            (f"c{i}", records[i].sequence[200 + 10 * i : 260 + 10 * i])
+            for i in range(4)
+        ]
+        with ServerThread(server) as handle, fresh_client(handle) as client:
+            before = client.stats()["stats"]
+            sizes_before, waits_before = sizes.count, waits.count
+            # One request's four misses are admitted together: one batch.
+            client.search(queries, threshold=THRESHOLD)
+            with pytest.raises(ServerError, match="injected"):
+                client.search([("boom", "ACGTACGTACGT")], threshold=THRESHOLD)
+            after = client.stats()["stats"]
+        batches = after["batches_total"] - before["batches_total"]
+        samples = (
+            after["spans_count"]["admission_wait"]
+            - before["spans_count"].get("admission_wait", 0)
+        )
+        assert batches == sizes.count - sizes_before == 2
+        assert samples == waits.count - waits_before == 5
+        assert after["mean_batch_size"] == 2.5
 
     def test_graceful_shutdown_via_rpc(self, serving_setup):
         server = SearchServer(serving_setup["mono"], port=0, reload_poll=0)
@@ -865,14 +974,18 @@ class TestServerConstruction:
         with pytest.raises(Exception):
             ServerThread(server, start_timeout=30).start()
 
-    def test_invalid_shapes_rejected(self, serving_setup):
+    def test_invalid_shapes_rejected(self, serving_setup, tmp_path):
         with pytest.raises(ValueError):
             MicroBatcher(lambda q, k: None, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(lambda q, k: None, max_queue=0)
         with pytest.raises(ValueError):
-            MicroBatcher(lambda q, k: None, linger=-1)
-        with pytest.raises(ValueError):
             SearchServer(serving_setup["mono"], max_inflight=0)
+        # A bad batch shape fails at construction, before any index opens:
+        # the path does not even exist.
+        with pytest.raises(ValueError, match="max_batch"):
+            SearchServer(tmp_path / "nope.idx", max_batch=0)
+        with pytest.raises(ValueError, match="max_queue"):
+            SearchServer(tmp_path / "nope.idx", max_queue=0)
         with pytest.raises(ValueError):
             ResultCache(-1)

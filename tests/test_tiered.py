@@ -453,7 +453,7 @@ class TestModeKeyIsolation:
                 sizes.append((len(queries), key.mode))
                 return [None] * len(queries)
 
-            batcher = MicroBatcher(runner, max_batch=8, linger=0.01)
+            batcher = MicroBatcher(runner, max_batch=8)
             batcher.start()
             exact_key = BatchKey(threshold=30, e_value=None, top_k=None)
             fast_key = BatchKey(
