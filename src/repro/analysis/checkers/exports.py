@@ -32,13 +32,6 @@ REEXPORT_REGISTRY = {
         "deprecated import location kept for compatibility; canonical home "
         "is repro.scoring.evalue (moved in PR 6)"
     ),
-    ("engine/registry.py", "MODES"): (
-        "facade re-export: the registry is the one-stop mode surface for "
-        "service layers (defined in repro.engine.backend)"
-    ),
-    ("engine/registry.py", "MODE_ENGINE_NAMES"): (
-        "facade re-export alongside MODES (defined in repro.engine.backend)"
-    ),
 }
 
 

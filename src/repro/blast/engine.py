@@ -35,8 +35,8 @@ class Blast:
         Extension controls; defaults scale with the scheme's match score.
     index:
         An already-built :class:`KmerIndex` over ``text`` with
-        ``k == word_size`` (e.g. the aux section of a persistent
-        :class:`~repro.store.IndexStore`); omitted, the index is built here.
+        ``k == word_size`` (e.g. one shared by several engines over the
+        same text); omitted, the index is built here.
     """
 
     def __init__(

@@ -52,7 +52,6 @@ from repro import DNA, PROTEIN, ScoringScheme, genome, write_fasta
 from repro.align.types import SearchStats
 from repro.analysis import CHECKERS, run_lint
 from repro.core.analysis import entry_bound
-from repro.engine import DEFAULT_WORD_SIZE, MODE_ENGINE_NAMES, MODES
 from repro.errors import ReproError, ScoringError
 from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord, parse_fasta_file
@@ -122,7 +121,6 @@ def _make_service(
     that contradicts it is rejected instead of silently ignored.
     """
     alphabet = ALPHABETS[args.alphabet] if args.alphabet else None
-    mode = getattr(args, "mode", "exact") or "exact"
     if args.index is not None and is_manifest(args.index):
         if args.engine != "alae":
             raise ReproError(
@@ -133,7 +131,6 @@ def _make_service(
             args.index,
             alphabet=alphabet,
             scheme=args.scheme,
-            mode=mode,
             workers=args.workers,
             executor=args.executor,
         )
@@ -141,7 +138,6 @@ def _make_service(
         database,
         store=args.index,
         engine=args.engine,
-        mode=mode,
         alphabet=alphabet,
         scheme=args.scheme,
         workers=args.workers,
@@ -182,12 +178,6 @@ def _search_kwargs(args: argparse.Namespace) -> dict:
     return kwargs
 
 
-def _engine_label(args: argparse.Namespace) -> str:
-    """The engine name printed per query: mode-specific unless exact."""
-    mode = getattr(args, "mode", "exact") or "exact"
-    return args.engine if mode == "exact" else MODE_ENGINE_NAMES[mode]
-
-
 def _run_batch(
     service: "SearchService | ShardedSearchService",
     queries: list[FastaRecord],
@@ -195,7 +185,6 @@ def _run_batch(
 ) -> int:
     """Stream a batch through the service, printing attributed hits."""
     _hit_header()
-    engine_label = _engine_label(args)
     total_hits = dropped = count = 0
     stats = SearchStats()
     started = time.perf_counter()
@@ -205,7 +194,7 @@ def _run_batch(
         dropped += result.dropped_boundary
         stats.merge(result.stats)
         _print_result(
-            result.query_id, engine_label, result.threshold, result.hits,
+            result.query_id, args.engine, result.threshold, result.hits,
             result.dropped_boundary, args.limit,
         )
     wall = time.perf_counter() - started
@@ -216,34 +205,7 @@ def _run_batch(
         f"wall={wall:.3f}s",
         file=sys.stderr,
     )
-    _print_mode_summary(getattr(args, "mode", "exact"), stats, count)
     return 0
-
-
-def _print_mode_summary(mode: str | None, stats: SearchStats, count: int) -> None:
-    """Non-exact tiers get one extra stderr line of mode accounting.
-
-    ``SearchStats.merge`` *sums* extra entries across queries, so recall
-    is recomputed from the summed hit counts (falling back to the mean of
-    the per-query ratios when counts are absent).  Exact runs print
-    nothing — their stdout AND stderr stay byte-identical.
-    """
-    if mode in (None, "exact") or count == 0:
-        return
-    extra = stats.extra
-    parts = [f"# mode={mode}"]
-    for key in ("seeds", "ungapped_extensions", "gapped",
-                "candidate_hits", "verify_windows", "verified_hits"):
-        if key in extra:
-            parts.append(f"{key}={extra[key]}")
-    if "recall_vs_exact" in extra:
-        if extra.get("exact_hits"):
-            # Ratio of the summed counts, not the summed per-query ratios.
-            recall = extra["verified_hits"] / extra["exact_hits"]
-        else:
-            recall = extra["recall_vs_exact"] / count
-        parts.append(f"recall_vs_exact={recall:.4f}")
-    print(" ".join(parts), file=sys.stderr)
 
 
 def _check_text_vs_index(args: argparse.Namespace, positional: str) -> str | None:
@@ -334,7 +296,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             reload_poll=args.reload_poll,
             workers=args.workers,
             executor=args.executor,
-            mode=args.mode,
             request_log=args.request_log,
             metrics_port=args.metrics_port,
         )
@@ -395,16 +356,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         wall = time.perf_counter() - started
     _hit_header()
     total_hits = dropped = cached = 0
-    served_stats = SearchStats()
     for result in batch.results:
         total_hits += len(result.hits)
         dropped += result.dropped_boundary
         cached += result.cached
-        for key, value in result.extra.items():
-            if isinstance(value, bool):
-                continue
-            if isinstance(value, (int, float)):
-                served_stats.extra[key] = served_stats.extra.get(key, 0) + value
         _print_result(
             result.query_id, batch.engine, result.threshold, result.hits,
             result.dropped_boundary, args.limit,
@@ -415,7 +370,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         f"generation={batch.generation} wall={wall:.3f}s",
         file=sys.stderr,
     )
-    _print_mode_summary(batch.mode, served_stats, len(batch.results))
     if args.trace:
         # Span breakdowns are stderr-only: stdout keeps its byte-for-byte
         # parity with the offline search-db path.
@@ -474,7 +428,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
             return 2
         out = f"{args.database}.idx"
     database = _load_database(args.database)
-    kmer_k = None if args.no_kmer else args.kmer_k
     build_started = time.perf_counter()
     if args.shards > 1:
         sharded = ShardedStore.build(
@@ -486,7 +439,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
             occ_block=args.occ_block,
             sa_sample=args.sa_sample,
             build_workers=args.build_workers,
-            kmer_k=kmer_k,
         )
         build_seconds = time.perf_counter() - build_started
         total_bytes = sum(
@@ -509,7 +461,6 @@ def cmd_index_build(args: argparse.Namespace) -> int:
         scheme=args.scheme or DEFAULT_SCHEME,
         occ_block=args.occ_block,
         sa_sample=args.sa_sample,
-        kmer_k=kmer_k,
     )
     path = store.save(out)
     build_seconds = time.perf_counter() - build_started
@@ -817,12 +768,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def _add_search_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=sorted(SERVICE_ENGINES), default="alae")
     parser.add_argument(
-        "--mode", choices=MODES, default="exact",
-        help="search mode: exact (bit-identical ALAE, default), fast "
-        "(seed-and-extend, score-ranked), or verified (fast candidates "
-        "rescored exactly, with measured recall)",
-    )
-    parser.add_argument(
         "--alphabet", choices=ALPHABETS, default=None,
         help="dna or protein (default dna, or the --index fingerprint)",
     )
@@ -920,11 +865,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="threads", help="service worker pool type",
     )
     serve.add_argument(
-        "--mode", choices=MODES, default="exact",
-        help="default search mode for requests without their own 'mode' "
-        "field (requests can always override per call)",
-    )
-    serve.add_argument(
         "--metrics-port", type=int, default=None, metavar="P",
         help="also serve Prometheus text exposition on GET "
         "http://HOST:P/metrics (0 picks an ephemeral port, logged on "
@@ -964,9 +904,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="rank each query's hits by score and keep only the best K",
     )
     query.add_argument(
-        "--mode", choices=MODES, default=None,
-        help="search mode (exact/fast/verified); omit to use the "
-        "server's default",
+        "--mode", default=None,
+        help="search mode: exact (the default) or verified, which the "
+        "server answers with the exact engine; it refuses fast",
     )
     query.add_argument(
         "--limit", type=int, default=50, help="max printed hits per query"
@@ -1049,16 +989,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument(
         "--build-workers", type=int, default=1, metavar="N",
         help="build shard stores in an N-process pool (with --shards)",
-    )
-    build.add_argument(
-        "--kmer-k", type=int, default=DEFAULT_WORD_SIZE, metavar="K",
-        help="k-mer word size persisted for the fast tier "
-        f"(default {DEFAULT_WORD_SIZE})",
-    )
-    build.add_argument(
-        "--no-kmer", action="store_true",
-        help="skip the k-mer aux section (fast/verified modes then build "
-        "their index lazily at serve time)",
     )
     build.add_argument(
         "--catalog", default=None, metavar="CATALOG.db",

@@ -1,51 +1,30 @@
-"""Unified search-backend layer: one protocol, three serving modes.
+"""Search backends: one protocol, exact search only.
 
-``exact`` is today's default (ALAE, bit-identical to the pre-refactor
-stack), ``fast`` is seed-and-extend candidate generation, and ``verified``
-rescores fast candidates with windowed exact DPs (verified hits are a
-bit-equal subset of exact hits; see :mod:`repro.engine.verified`).
+Every serving mode runs the exact ALAE engine.  ``exact`` is the default;
+``verified`` is accepted and answered by the same engine under its own
+metrics label, since exact meets its contract (hits a bit-equal subset of
+exact's) with equality; ``fast`` is refused (:data:`FAST_REFUSED`).  The
+BWT-SW and BLAST baselines stay available offline through
+``SearchService(engine=...)``.
 """
 
 from repro.engine.backend import (
-    MODE_ENGINE_NAMES,
-    MODES,
-    ORDER_POSITION,
-    ORDER_SCORE,
     AlaeBackend,
     BackendInfo,
-    BlastBackend,
-    BwtSwBackend,
+    BaselineBackend,
     SearchBackend,
 )
-from repro.engine.registry import (
-    BLAST_KEYS,
-    DEFAULT_WORD_SIZE,
-    MODE_ORDERINGS,
-    VERIFIED_KEYS,
-    backend_from_store,
-    backend_from_text,
-    check_mode,
-    split_engine_kwargs,
-)
+from repro.engine.registry import FAST_REFUSED, MODES, backends_for, check_mode
 from repro.engine.verified import VerifiedBackend
 
 __all__ = [
     "AlaeBackend",
     "BackendInfo",
-    "BlastBackend",
-    "BwtSwBackend",
+    "BaselineBackend",
     "SearchBackend",
     "VerifiedBackend",
     "MODES",
-    "MODE_ENGINE_NAMES",
-    "MODE_ORDERINGS",
-    "ORDER_POSITION",
-    "ORDER_SCORE",
-    "BLAST_KEYS",
-    "VERIFIED_KEYS",
-    "DEFAULT_WORD_SIZE",
-    "backend_from_store",
-    "backend_from_text",
+    "FAST_REFUSED",
+    "backends_for",
     "check_mode",
-    "split_engine_kwargs",
 ]

@@ -1,44 +1,27 @@
 """The :class:`SearchBackend` protocol and thin adapters over the engines.
 
-Every search tier in the repo — the exact ALAE engine (the paper's
-contribution), the exact BWT-SW baseline, the heuristic BLAST baseline, and
-the tiered verified pipeline — answers the same question: *which accumulator
-cells clear the threshold?*  The protocol pins the one shape they share
-(``search(query, threshold | e_value) -> SearchResult``) plus the capability
-metadata the serving stack keys decisions off: whether results are exhaustive
-(``exact``) and how hits should be presented/merged (``ordering``).
+Every engine in the repo — the exact ALAE engine (the paper's
+contribution), the exact BWT-SW baseline and the heuristic BLAST baseline —
+answers the same question: *which accumulator cells clear the threshold?*
+The protocol pins the one shape they share
+(``search(query, threshold | e_value) -> SearchResult``) plus the labels
+the serving stack files its accounting under: the engine's name and the
+serving mode.
 
-Adapters are deliberately thin: they own no search logic, only the metadata
+Adapters are deliberately thin: they own no search logic, only the labels
 and the underlying engine instance (exposed as ``.engine`` so existing
 callers — warm-up hooks, shadow-recovery, statistics — keep their access).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Protocol, runtime_checkable
 
-from repro.align.bwt_sw import BwtSw
 from repro.align.types import SearchResult
-from repro.blast.engine import Blast
 from repro.core.alae import ALAE
 from repro.obs.metrics import Counter, Histogram
-
-#: Hits presented in accumulator order ``(t_end, p_end)`` — the exact
-#: engines' native order, and the one the byte-identical CLI/merge paths
-#: depend on.
-ORDER_POSITION = "position"
-#: Hits presented best-first ``(-score, t_end, p_end)`` — the natural order
-#: for heuristic tiers, where the answer set is a ranked candidate list.
-ORDER_SCORE = "score"
-
-#: The serving modes every layer of the stack understands.
-MODES = ("exact", "fast", "verified")
-
-#: What the wire protocol / CLI report as the engine label for each mode
-#: (``exact`` keeps the underlying engine's own name).
-MODE_ENGINE_NAMES = {"exact": "alae", "fast": "blast", "verified": "verified"}
 
 # Engine-level accounting, recorded once per backend search from the stats
 # the engines already compute (no extra work on the traversal itself).
@@ -78,24 +61,15 @@ def record_backend_search(info: BackendInfo, result: SearchResult, seconds: floa
 
 @dataclass(frozen=True)
 class BackendInfo:
-    """Capability fingerprint of one backend.
-
-    ``exact`` declares the answer set complete (every cell ``>= H``);
-    consumers use it to decide cache compatibility and whether recall
-    bookkeeping makes sense.  ``ordering`` declares the presentation
-    contract (:data:`ORDER_POSITION` or :data:`ORDER_SCORE`) the service
-    layer keys its merge off.
-    """
+    """The labels one backend's searches are accounted under."""
 
     name: str
     mode: str
-    exact: bool
-    ordering: str
 
 
 @runtime_checkable
 class SearchBackend(Protocol):
-    """What every search tier exposes to the service layer."""
+    """What every backend exposes to the service layer."""
 
     info: BackendInfo
 
@@ -106,11 +80,9 @@ class SearchBackend(Protocol):
         e_value: float | None = None,
     ) -> SearchResult: ...
 
-    def describe(self) -> dict: ...
-
 
 class _EngineBackend:
-    """Shared adapter plumbing: hold the engine, delegate, describe."""
+    """Shared adapter plumbing: hold the engine, delegate, record metrics."""
 
     info: BackendInfo
 
@@ -128,48 +100,23 @@ class _EngineBackend:
         record_backend_search(self.info, result, perf_counter() - started)
         return result
 
-    def describe(self) -> dict:
-        """Fingerprint of the backend plus the engine it wraps."""
-        engine = self.engine
-        info = asdict(self.info)
-        info.update(
-            {
-                "alphabet": engine.alphabet.name,
-                "scheme": list(engine.scheme.as_tuple()),
-                "text_length": len(engine.text),
-            }
-        )
-        return info
-
 
 class AlaeBackend(_EngineBackend):
-    """The exact ALAE engine as a backend (mode ``exact``'s default)."""
+    """The exact ALAE engine as a backend (mode ``exact``)."""
 
-    info = BackendInfo(
-        name="alae", mode="exact", exact=True, ordering=ORDER_POSITION
-    )
+    info = BackendInfo(name="alae", mode="exact")
 
     def __init__(self, engine: ALAE) -> None:
         super().__init__(engine)
 
 
-class BwtSwBackend(_EngineBackend):
-    """The exact BWT-SW baseline as a backend."""
+class BaselineBackend(_EngineBackend):
+    """Any other engine (BWT-SW, BLAST, a custom class) as a backend.
 
-    info = BackendInfo(
-        name="bwtsw", mode="exact", exact=True, ordering=ORDER_POSITION
-    )
+    Its searches are accounted under the engine's own name and mode
+    ``exact``, the only mode a service built on it serves.
+    """
 
-    def __init__(self, engine: BwtSw) -> None:
+    def __init__(self, engine) -> None:
         super().__init__(engine)
-
-
-class BlastBackend(_EngineBackend):
-    """The heuristic seed-and-extend engine as a backend (mode ``fast``)."""
-
-    info = BackendInfo(
-        name="blast", mode="fast", exact=False, ordering=ORDER_SCORE
-    )
-
-    def __init__(self, engine: Blast) -> None:
-        super().__init__(engine)
+        self.info = BackendInfo(name=type(engine).__name__.lower(), mode="exact")

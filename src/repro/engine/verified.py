@@ -1,201 +1,24 @@
-"""The ``verified`` tier: fast candidates, exact rescoring, measured recall.
+"""Mode ``verified``, answered by the exact engine.
 
-The heuristic engine is cheap but can report a hit whose accumulator score is
-wrong (its windowed gapped DP sees only part of the text) and misses
-alignments without a seed word.  :class:`VerifiedBackend` keeps the cheap
-part — BLAST proposes *candidate regions* — and replaces trust with proof:
-every candidate region is rescored by a genuine ALAE engine over a windowed
-subtext, and only cells whose window answer provably equals the whole-text
-answer are emitted.
-
-The soundness argument is Theorem 1's windowing bound.  With
-``lmax = scheme.max_alignment_length(m, H)``, any alignment scoring ``>= H``
-spans at most ``lmax`` text characters.  A window padded ``lmax`` on both
-sides of a candidate therefore contains *every* alignment that can justify a
-cell in its interior; for a cell at window-local end ``t_end`` with
-``window_lo == 0 or t_end >= lmax`` the window accumulator equals the global
-accumulator **exactly** — same best score and same earliest-start tie-break,
-because the sets of ``>= H`` alignments ending there coincide.  Hence the
-invariant the property tests assert:
-
-    ``verified hits`` is a subset of ``exact hits`` with bit-equal
-    scores, end positions and start attributions.
-
-What ``verified`` can still miss is what the *fast* tier missed: a true
-alignment in a region BLAST never proposed.  That gap is the measured
-``recall_vs_exact`` this backend reports in ``SearchStats.extra`` (computed
-against a real exact search when ``measure_recall`` is on; the exact run's
-cost counters are instrumentation and are **not** folded into the search's
-own work accounting).
+``verified`` promises hits that are a bit-equal subset of ``exact``'s; the
+exact engine meets that promise with equality.  The mode keeps a backend of
+its own so its searches stay labelled ``verified`` in the engine metrics.
 """
 
 from __future__ import annotations
 
-import time
-
-from repro.align.types import START_UNKNOWN, ResultSet, SearchResult, SearchStats
-from repro.blast.engine import Blast
 from repro.core.alae import ALAE
-from repro.engine.backend import ORDER_SCORE, BackendInfo, record_backend_search
-from repro.errors import SearchError
-from repro.scoring.evalue import resolve_threshold
+from repro.engine.backend import BackendInfo, _EngineBackend
 
 
-class VerifiedBackend:
-    """Rescore fast candidates with windowed exact searches (mode ``verified``).
+class VerifiedBackend(_EngineBackend):
+    """The exact ALAE engine under the ``verified`` label.
 
-    Parameters
-    ----------
-    fast:
-        The candidate generator (a :class:`~repro.blast.engine.Blast` over
-        the full text).
-    exact:
-        An exact :class:`~repro.core.alae.ALAE` over the same text.  It
-        anchors the scheme/alphabet, measures recall, and is NOT used for
-        rescoring (windows get their own small engines) — so a store-backed
-        service can hand over its shared resident engine safely.
-    measure_recall:
-        When ``True`` (default) every search also runs the exact engine and
-        reports ``exact_hits`` / ``recall_vs_exact`` in ``stats.extra``.
-        Turn off to serve the tier at candidate-generation cost.
+    A sibling of :class:`~repro.engine.AlaeBackend`, not a subclass, so
+    wrapping one class's ``search`` never wraps the other's.
     """
 
-    info = BackendInfo(
-        name="verified", mode="verified", exact=False, ordering=ORDER_SCORE
-    )
+    info = BackendInfo(name="alae", mode="verified")
 
-    def __init__(
-        self, fast: Blast, exact: ALAE, *, measure_recall: bool = True
-    ) -> None:
-        if len(fast.text) != len(exact.text):
-            raise SearchError(
-                "verified tier needs its fast and exact engines over the "
-                "same text"
-            )
-        if fast.scheme.as_tuple() != exact.scheme.as_tuple():
-            raise SearchError(
-                "verified tier needs its fast and exact engines on the "
-                "same scoring scheme"
-            )
-        self.fast = fast
-        self.exact = exact
-        self.measure_recall = bool(measure_recall)
-
-    @property
-    def engine(self):
-        """The exact engine anchoring the tier (shared with mode ``exact``).
-
-        Exposed so every backend — adapter or composite — answers
-        ``backend.engine`` for warm-up and introspection hooks.
-        """
-        return self.exact
-
-    # ---------------------------------------------------------------- search
-    def search(
-        self,
-        query: str,
-        threshold: int | None = None,
-        e_value: float | None = None,
-    ) -> SearchResult:
-        """Candidates from the fast tier, verdicts from windowed exact DPs."""
-        exact = self.exact
-        alphabet = exact.alphabet
-        alphabet.validate(query)
-        text = exact.text
-        scheme = exact.scheme
-        m, n = len(query), len(text)
-        # Resolve H against the FULL text length so the tier answers the
-        # same question as the exact engine (an E-value over a window would
-        # inflate the threshold's stringency inconsistently per candidate).
-        h_thr = resolve_threshold(
-            threshold, e_value, scheme, alphabet.size, m, n
-        )
-
-        started = time.perf_counter()
-        fast_result = self.fast.search(query, threshold=h_thr)
-        stats = SearchStats()
-        stats.merge(fast_result.stats)
-
-        lmax = scheme.max_alignment_length(m, h_thr)
-        candidates = fast_result.hits.hits()
-        windows = self._candidate_windows(candidates, lmax, n)
-
-        results = ResultSet()
-        for lo0, hi0 in windows:
-            window_engine = ALAE(text[lo0:hi0], alphabet=alphabet, scheme=scheme)
-            window_result = window_engine.search(query, threshold=h_thr)
-            stats.merge(window_result.stats)
-            for hit in window_result.hits.hits():
-                # Theorem 1 emission rule: with lmax of context to the left
-                # (or the real text start), the window accumulator cell IS
-                # the global one — bit-equal score, end and start.
-                if lo0 > 0 and hit.t_end < lmax:
-                    continue
-                start = (
-                    lo0 + hit.t_start
-                    if hit.t_start != START_UNKNOWN
-                    else START_UNKNOWN
-                )
-                results.add(lo0 + hit.t_end, hit.p_end, hit.score, start)
-
-        stats.extra["candidate_hits"] = len(candidates)
-        stats.extra["verify_windows"] = len(windows)
-        stats.extra["verified_hits"] = len(results)
-        if self.measure_recall:
-            exact_result = exact.search(query, threshold=h_thr)
-            exact_hits = len(exact_result.hits)
-            stats.extra["exact_hits"] = exact_hits
-            stats.extra["recall_vs_exact"] = (
-                len(results) / exact_hits if exact_hits else 1.0
-            )
-        stats.elapsed_seconds = time.perf_counter() - started
-        result = SearchResult(hits=results, stats=stats, threshold=h_thr)
-        record_backend_search(self.info, result, stats.elapsed_seconds)
-        return result
-
-    # ------------------------------------------------------------- internals
-    @staticmethod
-    def _candidate_windows(
-        candidates, lmax: int, n: int
-    ) -> list[tuple[int, int]]:
-        """Merged 0-based ``[lo, hi)`` text slices covering every candidate.
-
-        Each candidate's span is padded by ``lmax`` on both sides, so every
-        ``>= H`` alignment ending inside the candidate's own region lies
-        fully within the window, and the candidate's cells always clear the
-        emission rule (their local ``t_end`` exceeds ``lmax`` unless the
-        window starts at the text start).
-        """
-        spans: list[tuple[int, int]] = []
-        for hit in candidates:
-            start = (
-                hit.t_start
-                if hit.t_start != START_UNKNOWN
-                else max(1, hit.t_end - lmax + 1)
-            )
-            lo = max(0, start - 1 - lmax)
-            hi = min(n, hit.t_end + lmax)
-            spans.append((lo, hi))
-        spans.sort()
-        merged: list[tuple[int, int]] = []
-        for lo, hi in spans:
-            if merged and lo <= merged[-1][1]:
-                last_lo, last_hi = merged[-1]
-                merged[-1] = (last_lo, max(last_hi, hi))
-            else:
-                merged.append((lo, hi))
-        return merged
-
-    def describe(self) -> dict:
-        """Fingerprint: the tier plus both engines it composes."""
-        return {
-            "name": self.info.name,
-            "mode": self.info.mode,
-            "exact": self.info.exact,
-            "ordering": self.info.ordering,
-            "alphabet": self.exact.alphabet.name,
-            "scheme": list(self.exact.scheme.as_tuple()),
-            "text_length": len(self.exact.text),
-            "measure_recall": self.measure_recall,
-            "fast_word_size": self.fast.word_size,
-        }
+    def __init__(self, engine: ALAE) -> None:
+        super().__init__(engine)

@@ -11,11 +11,6 @@ from collections import defaultdict
 
 import numpy as np
 
-#: BLAST's default seed word length (BLASTN's classic 11); stores persist
-#: their aux postings at this k unless told otherwise, so default searches
-#: never rebuild.
-DEFAULT_WORD_SIZE = 11
-
 
 class KmerIndex:
     """Map every k-mer of a text to the numpy array of its 1-based starts."""
@@ -41,59 +36,3 @@ class KmerIndex:
 
     def __len__(self) -> int:
         return len(self._buckets)
-
-    # -------------------------------------------------------- serialization
-    def components(self) -> dict[str, np.ndarray]:
-        """The postings as three flat arrays (the store's aux section).
-
-        ``kmer_words`` is a ``(K, k)`` uint8 matrix of the distinct k-mers
-        in sorted order, ``kmer_offsets`` a ``(K + 1,)`` int64 prefix table,
-        and ``kmer_positions`` the concatenated posting lists — the classic
-        CSR layout, so :meth:`from_components` can rebuild every bucket as a
-        zero-copy slice of the (possibly memory-mapped) positions array.
-        """
-        kmers = sorted(self._buckets)
-        k = self.k
-        words = np.frombuffer(
-            "".join(kmers).encode("ascii"), dtype=np.uint8
-        ).reshape(len(kmers), k) if kmers else np.zeros((0, k), dtype=np.uint8)
-        offsets = np.zeros(len(kmers) + 1, dtype=np.int64)
-        for row, kmer in enumerate(kmers):
-            offsets[row + 1] = offsets[row] + len(self._buckets[kmer])
-        positions = (
-            np.concatenate([self._buckets[kmer] for kmer in kmers])
-            if kmers
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        return {
-            "kmer_words": words,
-            "kmer_offsets": offsets,
-            "kmer_positions": positions,
-        }
-
-    @classmethod
-    def from_components(
-        cls,
-        text: str,
-        k: int,
-        words: np.ndarray,
-        offsets: np.ndarray,
-        positions: np.ndarray,
-    ) -> "KmerIndex":
-        """Rebuild an index from :meth:`components` arrays without rescanning.
-
-        Posting arrays are *views* into ``positions`` (no copies), so a
-        store-backed index shares the mmap'd bytes on disk.
-        """
-        index = cls.__new__(cls)
-        index.text = text
-        index.k = k
-        blob = np.ascontiguousarray(words).tobytes().decode("ascii")
-        offs = np.asarray(offsets).tolist()
-        buckets: dict[str, np.ndarray] = {}
-        for row in range(len(offs) - 1):
-            buckets[blob[row * k : (row + 1) * k]] = positions[
-                offs[row] : offs[row + 1]
-            ]
-        index._buckets = buckets
-        return index

@@ -362,7 +362,14 @@ def replay_plan(
                 kwargs["top_k"] = event.top_k
             t0 = time.perf_counter()
             if service is not None:
-                result = service.search(sequence, **kwargs)
+                try:
+                    result = service.search(sequence, **kwargs)
+                except ReproError:
+                    # A refused request (a ``fast`` row logged by an older
+                    # server, say) counts like the server path counts it.
+                    errors += 1
+                    latencies.append(time.perf_counter() - t0)
+                    continue
                 latencies.append(time.perf_counter() - t0)
                 for shard, seconds in enumerate(shard_seconds(result.stats.spans)):
                     shard_samples.setdefault(shard, []).append(seconds)

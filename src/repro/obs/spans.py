@@ -7,7 +7,7 @@ canonical names thread one request's life through the stack:
 
 ==================  ============================================================
 ``admission_wait``  submit-to-dispatch wait in the server's micro-batch queue
-``engine``          backend search time (ALAE / fast / verified traversal)
+``engine``          backend search time (the engine traversal)
 ``locate``          hit attribution: record lookup + boundary recheck
 ``merge``           sharded fan-in: global re-ordering and stat folding
 ``shard<i>``        engine+locate work attributable to shard ``i``

@@ -64,9 +64,9 @@ class Overloaded(ReproError):
 class BatchKey:
     """Search parameters that must match for queries to share one batch.
 
-    ``mode`` is part of the key so an ``exact`` query can never ride in a
-    ``fast`` batch (and vice versa) — the tiers answer different questions
-    and must never share a ``search_batch`` dispatch.
+    ``mode`` is part of the key so an ``exact`` query never rides in a
+    ``verified`` batch (and vice versa): each ``search_batch`` dispatch
+    runs, and is accounted under, one mode.
     """
 
     threshold: int | None

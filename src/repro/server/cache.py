@@ -3,9 +3,8 @@
 Hits for one query depend only on the query *sequence*, the search
 parameters, and the index contents — never on the query's name or on which
 request carried it — so the cache key is ``(sequence, threshold, e_value,
-top_k, mode, epoch)``.  ``mode`` isolates the serving tiers from each
-other: a cached ``exact`` answer must never be replayed for a ``fast``
-request, and a heuristic answer must never masquerade as exact.  ``epoch``
+top_k, mode, epoch)``.  ``mode`` keeps each mode's answers, and their
+accounting, apart even though one exact engine computes both.  ``epoch``
 is the serving generation's index fingerprint
 (header CRC for a monolithic store, manifest payload CRC for shards): a hot
 reload changes it, so entries for a replaced index can never be served
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.align.types import SearchStats
 from repro.io.database import LocatedHit
@@ -43,18 +42,12 @@ _EVICTIONS_TOTAL = Counter(
 
 @dataclass(frozen=True)
 class CachedResult:
-    """The id-independent part of a :class:`QueryResult`.
-
-    ``extra`` carries the mode-specific stats entries (seed counts,
-    ``recall_vs_exact``, ...) so a cache hit for a non-exact mode still
-    reports them; it stays empty for exact answers.
-    """
+    """The id-independent part of a :class:`QueryResult`."""
 
     threshold: int
     hits: tuple[LocatedHit, ...]
     raw_hits: int
     dropped_boundary: int
-    extra: dict = field(default_factory=dict)
 
     @classmethod
     def from_result(cls, result: QueryResult) -> "CachedResult":
@@ -63,17 +56,14 @@ class CachedResult:
             hits=tuple(result.hits),
             raw_hits=result.raw_hits,
             dropped_boundary=result.dropped_boundary,
-            extra=dict(result.stats.extra),
         )
 
     def to_result(self, query_id: str) -> QueryResult:
         """Materialize a fresh result under ``query_id`` (zero-work stats)."""
-        stats = SearchStats()
-        stats.extra.update(self.extra)
         return QueryResult(
             query_id=query_id,
             hits=list(self.hits),
-            stats=stats,
+            stats=SearchStats(),
             threshold=self.threshold,
             raw_hits=self.raw_hits,
             dropped_boundary=self.dropped_boundary,

@@ -38,11 +38,7 @@ class ServerOverloaded(ServerError):
 
 @dataclass
 class ServedResult:
-    """One query's served answer (mirrors the service's ``QueryResult``).
-
-    ``extra`` holds the mode-specific accounting the server attaches to
-    non-exact answers (seed counts, ``recall_vs_exact``); empty for exact.
-    """
+    """One query's served answer (mirrors the service's ``QueryResult``)."""
 
     query_id: str
     threshold: int
@@ -50,7 +46,6 @@ class ServedResult:
     raw_hits: int
     dropped_boundary: int
     cached: bool
-    extra: dict = field(default_factory=dict)
     #: Trace-span breakdown (``engine``/``locate``/``merge``/``shard<i>``
     #: seconds); populated only for ``search(..., trace=True)``.
     spans: dict = field(default_factory=dict)
@@ -184,7 +179,8 @@ class ServerClient:
     ) -> ServedBatch:
         """Search a batch (same inputs as ``SearchService.search_batch``).
 
-        ``mode=None`` leaves the choice to the server's default mode.
+        ``mode=None`` means ``exact``; ``verified`` is answered by the same
+        exact engine, and the server refuses ``fast``.
         ``trace=True`` asks the server for per-result span breakdowns
         (:attr:`ServedResult.spans`).
         """
@@ -217,7 +213,6 @@ class ServerClient:
                 raw_hits=entry["raw_hits"],
                 dropped_boundary=entry["dropped"],
                 cached=entry["cached"],
-                extra=entry.get("extra", {}),
                 spans=entry.get("spans", {}),
             )
             for entry in response["results"]

@@ -42,7 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from repro.engine import MODE_ENGINE_NAMES, check_mode
+from repro.engine import AlaeBackend, check_mode
 from repro.errors import ReproError
 from repro.io.database import LocatedHit
 from repro.obs.exporter import MetricsExporter
@@ -139,23 +139,18 @@ def open_serving_service(
     *,
     workers: int = 1,
     executor: str = "threads",
-    mode: str = "exact",
     engine_kwargs: dict | None = None,
 ) -> "tuple[SearchService | ShardedSearchService, int]":
-    """Open the right service for an index path; returns ``(service, epoch)``.
-
-    ``mode`` is the service's *default* search mode (its backend is built
-    eagerly); per-request modes are still honoured lazily.
-    """
+    """Open the right service for an index path; returns ``(service, epoch)``."""
     path = Path(path)
     if is_manifest(path):
         service = ShardedSearchService(
-            path, workers=workers, executor=executor, mode=mode,
+            path, workers=workers, executor=executor,
             engine_kwargs=engine_kwargs,
         )
         return service, service.manifest_crc
     service = SearchService(
-        store=path, workers=workers, executor=executor, mode=mode,
+        store=path, workers=workers, executor=executor,
         engine_kwargs=engine_kwargs,
     )
     return service, service.store.header_crc
@@ -189,11 +184,10 @@ class SearchServer:
         the ``reload`` RPC still works).
     workers, executor, engine_kwargs:
         Forwarded to the underlying service — parallelism *inside* one
-        batch.
-    mode:
-        Default search mode (``exact``/``fast``/``verified``) for requests
-        that do not carry their own ``mode`` field.  Part of the batch and
-        cache keys, so tiers never share a dispatch or a cached answer.
+        batch.  A request's own ``mode`` field (``exact``, the default, or
+        ``verified``, both answered by the exact engine) is part of the
+        batch and cache keys, so modes never share a dispatch or a cached
+        answer.
     max_inflight:
         Per-connection pipelining cap; the reader stops consuming frames
         while this many responses are pending, pushing backpressure into
@@ -224,7 +218,6 @@ class SearchServer:
         reload_poll: float = 2.0,
         workers: int = 1,
         executor: str = "threads",
-        mode: str = "exact",
         engine_kwargs: dict | None = None,
         max_frame: int = MAX_FRAME_BYTES,
         max_inflight: int = 32,
@@ -239,11 +232,9 @@ class SearchServer:
         self.max_frame = max_frame
         self.max_inflight = max_inflight
         self.reload_poll = reload_poll
-        self.default_mode = check_mode(mode)
         self._service_kwargs = {
             "workers": workers,
             "executor": executor,
-            "mode": self.default_mode,
             "engine_kwargs": dict(engine_kwargs or {}),
         }
         self._cache = ResultCache(cache_size)
@@ -320,9 +311,8 @@ class SearchServer:
         )
         self._bound_port = self._server.sockets[0].getsockname()[1]
         logger.info(
-            "serving %s on %s:%d (mode=%s, sharded=%s)",
-            self.index_path, self.host, self._bound_port,
-            self.default_mode, self.sharded,
+            "serving %s on %s:%d (sharded=%s)",
+            self.index_path, self.host, self._bound_port, self.sharded,
         )
         if self._metrics_port is not None:
             self._exporter = MetricsExporter(
@@ -642,8 +632,8 @@ class SearchServer:
                 "stats": body,
                 "index": str(self.index_path),
                 "sharded": self.sharded,
-                "mode": self.default_mode,
-                "engine": MODE_ENGINE_NAMES[self.default_mode],
+                "mode": "exact",
+                "engine": AlaeBackend.info.name,
             }
         if op == "metrics":
             registry = default_registry()
@@ -713,7 +703,7 @@ class SearchServer:
         mode = payload.get("mode")
         if mode is not None and not isinstance(mode, str):
             raise ServiceError("'mode' must be a string")
-        mode = self.default_mode if mode is None else check_mode(mode)
+        mode = check_mode(mode)
         return queries, BatchKey(
             threshold=threshold,
             e_value=None if e_value is None else float(e_value),
@@ -874,10 +864,6 @@ class SearchServer:
                 "dropped": result.dropped_boundary,
                 "cached": cached_flag,
             }
-            if key.mode != "exact":
-                # Mode-specific accounting (seed counts, recall_vs_exact):
-                # exact responses keep the original payload shape.
-                body["extra"] = dict(result.stats.extra)
             if trace:
                 body["spans"] = {
                     name: round(seconds, 6)
@@ -899,7 +885,7 @@ class SearchServer:
         )
         return {
             "status": "ok",
-            "engine": MODE_ENGINE_NAMES[key.mode],
+            "engine": AlaeBackend.info.name,
             "mode": key.mode,
             "generation": self.generation,
             "results": results,

@@ -44,17 +44,7 @@ from repro.align.types import Hit, SearchStats
 from repro.alphabet import DNA, Alphabet
 from repro.blast import Blast
 from repro.core.alae import ALAE
-from repro.engine import (
-    ORDER_POSITION,
-    ORDER_SCORE,
-    AlaeBackend,
-    BackendInfo,
-    BlastBackend,
-    BwtSwBackend,
-    backend_from_store,
-    backend_from_text,
-    check_mode,
-)
+from repro.engine import BaselineBackend, backends_for, check_mode
 from repro.errors import ReproError
 from repro.io.database import LocatedHit, SequenceDatabase
 from repro.io.fasta import FastaRecord, parse_fasta_file
@@ -164,47 +154,6 @@ def _cells_with_starts(
 #: Engine registry shared with the CLI.
 SERVICE_ENGINES = {"alae": ALAE, "bwtsw": BwtSw, "blast": Blast}
 
-
-def _legacy_backend(engine) -> object:
-    """Wrap an explicitly-chosen engine instance in a pinned backend.
-
-    A service constructed with ``engine="bwtsw"`` / ``engine="blast"`` (or a
-    custom engine class) predates the mode registry; its backend keeps the
-    historical presentation — accumulator (position) order — so existing
-    output stays byte-identical, and the service refuses non-``exact``
-    per-call modes.
-    """
-    if isinstance(engine, ALAE):
-        return AlaeBackend(engine)
-    if isinstance(engine, BwtSw):
-        return BwtSwBackend(engine)
-    if isinstance(engine, Blast):
-        backend = BlastBackend(engine)
-        # Instance override: legacy blast services present hits in position
-        # order like every other engine= choice always has.
-        backend.info = BackendInfo(
-            name="blast", mode="exact", exact=False, ordering=ORDER_POSITION
-        )
-        return backend
-
-    class _CustomBackend:
-        info = BackendInfo(
-            name=type(engine).__name__.lower(),
-            mode="exact",
-            exact=False,
-            ordering=ORDER_POSITION,
-        )
-
-        def __init__(self, wrapped) -> None:
-            self.engine = wrapped
-
-        def search(self, query, threshold=None, e_value=None):
-            return self.engine.search(query, threshold, e_value)
-
-        def describe(self) -> dict:
-            return {"name": self.info.name, "mode": self.info.mode}
-
-    return _CustomBackend(engine)
 
 _NEG = np.int64(-(10**9))
 
@@ -363,15 +312,10 @@ class SearchService:
         Engine name (``alae`` / ``bwtsw`` / ``blast``) or an engine *class*
         with the ``(text, alphabet=..., scheme=...)`` constructor protocol.
         Store-backed services serve the ``alae`` engine (the store holds its
-        indexes).  Choosing a non-default engine pins the service: per-call
-        ``mode`` overrides are rejected.
-    mode:
-        Default search mode: ``exact`` (ALAE, today's behaviour —
-        byte-identical output), ``fast`` (seed-and-extend candidates,
-        score-ranked), or ``verified`` (fast candidates rescored by
-        windowed exact searches; hits are a bit-equal subset of ``exact``).
-        Every serving call accepts a per-call ``mode=`` override; backends
-        are built lazily per mode and share the exact engine's indexes.
+        indexes).  Every serving call takes a per-call ``mode=``: ``exact``
+        (the default) or ``verified``, both answered by the one ALAE
+        engine (:func:`~repro.engine.check_mode` refuses ``fast``).  A
+        non-default engine serves ``exact`` only.
     workers, executor:
         Default worker-pool shape for :meth:`search_batch`: ``threads``
         shares the engine directly (simple, but pure-Python searches
@@ -391,7 +335,6 @@ class SearchService:
         *,
         store: "IndexStore | str | Path | None" = None,
         engine: str | type = "alae",
-        mode: str = "exact",
         alphabet: Alphabet | None = None,
         scheme: ScoringScheme | None = None,
         workers: int = 1,
@@ -399,11 +342,6 @@ class SearchService:
         engine_kwargs: dict | None = None,
     ) -> None:
         self._engine_kwargs = dict(engine_kwargs or {})
-        self.mode = check_mode(mode)
-        # Backends are built lazily per mode (the default mode eagerly,
-        # below); the lock keeps first-build single-flight across threads.
-        self._backends: dict[str, object] = {}
-        self._backend_lock = threading.RLock()
         if isinstance(engine, str):
             if engine not in SERVICE_ENGINES:
                 raise ServiceError(
@@ -411,14 +349,6 @@ class SearchService:
                     f"{sorted(SERVICE_ENGINES)}"
                 )
             engine = SERVICE_ENGINES[engine]
-        # An explicitly-chosen non-default engine pins the service to the
-        # historical single-engine behaviour (no mode switching).
-        self._pinned_engine = engine if engine is not ALAE else None
-        if self._pinned_engine is not None and self.mode != "exact":
-            raise ServiceError(
-                f"mode {self.mode!r} needs the default ALAE service; "
-                f"engine={engine.__name__.lower()!r} pins mode 'exact'"
-            )
         if store is not None:
             if database is not None:
                 raise ServiceError(
@@ -442,7 +372,7 @@ class SearchService:
             self.scheme = store.scheme
             self.workers = self._check_workers(workers)
             self.executor = self._check_executor(executor)
-            backend = self._make_backend(self.mode)
+            self.engine = store.engine(**self._engine_kwargs)
         else:
             if database is None:
                 raise ServiceError("pass a database or a store")
@@ -454,19 +384,19 @@ class SearchService:
             self.scheme = DEFAULT_SCHEME if scheme is None else scheme
             self.workers = self._check_workers(workers)
             self.executor = self._check_executor(executor)
-            if self._pinned_engine is not None:
-                backend = _legacy_backend(
-                    engine(
-                        database.text,
-                        alphabet=self.alphabet,
-                        scheme=self.scheme,
-                        **self._engine_kwargs,
-                    )
-                )
-            else:
-                backend = self._make_backend(self.mode)
-        self._backends[self.mode] = backend
-        self.engine = backend.engine
+            self.engine = engine(
+                database.text,
+                alphabet=self.alphabet,
+                scheme=self.scheme,
+                **self._engine_kwargs,
+            )
+        # Every mode's backend wraps the one engine; other engines serve
+        # exact only.
+        self._backends = (
+            backends_for(self.engine)
+            if isinstance(self.engine, ALAE)
+            else {"exact": BaselineBackend(self.engine)}
+        )
         # Build lazily-constructed engine caches up front so concurrent
         # threads never race on their first population.
         if isinstance(self.engine, ALAE) and self.engine.use_domination:
@@ -530,9 +460,9 @@ class SearchService:
         return normalize_queries(queries)
 
     def _resolve_mode(self, mode: str | None) -> str:
-        """Per-call mode, defaulting to the service's own; pin-checked."""
-        mode = check_mode(self.mode if mode is None else mode)
-        if mode != "exact" and self._pinned_engine is not None:
+        """Per-call mode (``None``: ``exact``), checked against this service."""
+        mode = check_mode(mode)
+        if mode not in self._backends:
             raise ServiceError(
                 f"mode {mode!r} needs the default ALAE service; this one "
                 f"was constructed with an explicit engine and serves "
@@ -540,38 +470,9 @@ class SearchService:
             )
         return mode
 
-    def _make_backend(self, mode: str) -> object:
-        """Build a backend for ``mode`` over this service's text or store."""
-        if self.store is not None:
-            return backend_from_store(
-                mode, self.store, engine_kwargs=self._engine_kwargs
-            )
-        # Reuse an already-built exact engine (every backend exposes one
-        # when it carries ALAE) so modes share one set of indexes.
-        exact_engine = None
-        for built in self._backends.values():
-            candidate = getattr(built, "engine", None)
-            if isinstance(candidate, ALAE):
-                exact_engine = candidate
-                break
-        return backend_from_text(
-            mode,
-            self.database.text,
-            alphabet=self.alphabet,
-            scheme=self.scheme,
-            engine_kwargs=self._engine_kwargs,
-            exact_engine=exact_engine,
-        )
-
     def backend(self, mode: str | None = None) -> object:
-        """The :class:`~repro.engine.SearchBackend` serving ``mode`` (cached)."""
-        mode = self._resolve_mode(mode)
-        with self._backend_lock:
-            built = self._backends.get(mode)
-            if built is None:
-                built = self._make_backend(mode)
-                self._backends[mode] = built
-            return built
+        """The :class:`~repro.engine.SearchBackend` serving ``mode``."""
+        return self._backends[self._resolve_mode(mode)]
 
     def _search_one(
         self,
@@ -612,17 +513,6 @@ class SearchService:
         _ENGINE_SECONDS.labels(mode=served_mode).observe(engine_seconds)
         _LOCATE_SECONDS.labels(mode=served_mode).observe(locate_seconds)
         hits = [placed for _pos, placed in located]
-        if backend.info.ordering == ORDER_SCORE:
-            # Score-ordered backends present a ranked candidate list — the
-            # same key _apply_top_k / the sharded merge use, so ordering is
-            # identical across serving topologies.
-            hits.sort(
-                key=lambda hit: (
-                    -hit.score,
-                    self.database.offset_of(hit.record_index) + hit.t_end,
-                    hit.p_end,
-                )
-            )
         return QueryResult(
             query_id=query.id,
             hits=hits,

@@ -51,7 +51,7 @@ from typing import Iterable, Iterator
 from repro.scoring.evalue import resolve_threshold
 from repro.align.types import SearchStats
 from repro.alphabet import Alphabet
-from repro.engine import MODE_ORDERINGS, ORDER_SCORE, check_mode
+from repro.engine import check_mode
 from repro.errors import ReproError
 from repro.io.database import LocatedHit
 from repro.io.fasta import parse_fasta_file
@@ -214,16 +214,11 @@ class ShardedSearchService:
         Default pool shape for :meth:`search_batch`.  One *task* is one
         ``(query, shard)`` pair, so even a single query spreads across
         ``workers`` pool slots.
-    mode:
-        Default search mode for every call (``exact``, ``fast`` or
-        ``verified``); individual calls override it with their own
-        ``mode=`` argument.  Each shard resolves the mode through its own
-        :class:`SearchService` backend registry, so ``exact`` stays
-        bit-identical to the unsharded service and non-exact backends are
-        built lazily per shard on first use.
     engine_kwargs:
-        Forwarded to every shard engine (the ALAE ``use_*`` toggles plus
-        the fast tier's seeding knobs, routed per backend).
+        Forwarded to every shard engine (the ALAE ``use_*`` toggles).
+
+    Every serving call takes a per-call ``mode=`` (``exact``, the default,
+    or ``verified``); each shard answers both with its one ALAE engine.
     """
 
     def __init__(
@@ -232,7 +227,6 @@ class ShardedSearchService:
         *,
         alphabet: Alphabet | None = None,
         scheme: ScoringScheme | None = None,
-        mode: str = "exact",
         workers: int = 1,
         executor: str = "threads",
         engine_kwargs: dict | None = None,
@@ -244,12 +238,10 @@ class ShardedSearchService:
         if scheme is not None:
             store.check_scheme(scheme)
         self.store = store
-        self.mode = check_mode(mode)
         self._engine_kwargs = dict(engine_kwargs or {})
         self.services = [
             SearchService(
                 store=shard_store,
-                mode=self.mode,
                 engine_kwargs=self._engine_kwargs,
             )
             for shard_store in store.stores()
@@ -308,10 +300,6 @@ class ShardedSearchService:
             return "threads"
         return executor
 
-    def _resolve_mode(self, mode: str | None) -> str:
-        """Per-call mode override: ``None`` means the service default."""
-        return self.mode if mode is None else check_mode(mode)
-
     def _resolve_threshold(
         self, query: Query, threshold: int | None, e_value: float | None
     ) -> int:
@@ -332,16 +320,13 @@ class ShardedSearchService:
         h_thr: int,
         per_shard: list[QueryResult],
         top_k: int | None,
-        mode: str = "exact",
     ) -> QueryResult:
         """Fold per-shard results into one globally ordered result.
 
-        Exact-mode ordering is by global ``(t_end, p_end)`` — the
-        concatenated accumulator's order, hence bit-identical to the
-        unsharded service.  Modes whose backend declares score ordering
-        (``fast``/``verified``) rank by score descending with global
-        position as the tie-break, matching the unsharded presentation.
-        With ``top_k`` the ranked order is additionally truncated.
+        Hits are ordered by global ``(t_end, p_end)`` — the concatenated
+        accumulator's order, hence bit-identical to the unsharded service.
+        With ``top_k`` they are ranked by score descending, global position
+        breaking ties, and truncated.
         """
         merge_start = perf_counter()
         _FANOUT_QUERIES.observe(len(per_shard))
@@ -358,13 +343,11 @@ class ShardedSearchService:
                     )
                 )
         merged.sort(key=lambda item: (item[0], item[1]))
-        if top_k is not None or MODE_ORDERINGS[mode] == ORDER_SCORE:
+        if top_k is not None:
             ranked = sorted(
                 merged, key=lambda item: (-item[2].score, item[0], item[1])
             )
-            if top_k is not None:
-                ranked = ranked[:top_k]
-            hits = [hit for _end, _p, hit in ranked]
+            hits = [hit for _end, _p, hit in ranked[:top_k]]
         else:
             hits = [hit for _end, _p, hit in merged]
         raw = sum(result.raw_hits for result in per_shard)
@@ -382,16 +365,6 @@ class ShardedSearchService:
         merge_seconds = perf_counter() - merge_start
         add_span(stats.spans, SPAN_MERGE, merge_seconds)
         _MERGE_SECONDS.observe(merge_seconds)
-        if "exact_hits" in stats.extra and "verified_hits" in stats.extra:
-            # Aggregation summed the per-shard recall *ratios*; the global
-            # recall is the ratio of the summed counts (hits are
-            # record-local, so per-shard counts partition the global ones).
-            exact_hits = stats.extra["exact_hits"]
-            stats.extra["recall_vs_exact"] = (
-                stats.extra["verified_hits"] / exact_hits
-                if exact_hits
-                else 1.0
-            )
         return QueryResult(
             query_id=query.id,
             hits=hits,
@@ -412,14 +385,14 @@ class ShardedSearchService:
         mode: str | None = None,
     ) -> QueryResult:
         """Search one query across every shard (no pool involved)."""
-        mode = self._resolve_mode(mode)
+        mode = check_mode(mode)
         (normalized,) = normalize_queries([query])
         h_thr = self._resolve_threshold(normalized, threshold, e_value)
         per_shard = [
             service._search_one(normalized, h_thr, None, mode)
             for service in self.services
         ]
-        return self._merge(normalized, h_thr, per_shard, top_k, mode)
+        return self._merge(normalized, h_thr, per_shard, top_k)
 
     def _validate(
         self,
@@ -437,7 +410,7 @@ class ShardedSearchService:
         executor = self._check_executor(
             self.executor if executor is None else executor
         )
-        mode = self._resolve_mode(mode)
+        mode = check_mode(mode)
         normalized = normalize_queries(queries)
         if top_k is not None and top_k < 1:
             raise ServiceError(f"top_k must be >= 1, got {top_k}")
@@ -467,7 +440,7 @@ class ShardedSearchService:
             queries, threshold, e_value, top_k, workers, executor, mode
         )
         return (
-            self._merge(query, h_thr, per_shard, top_k, mode)
+            self._merge(query, h_thr, per_shard, top_k)
             for query, h_thr, per_shard in self._iter_shardwise(
                 normalized, thresholds, top_k, workers, executor, mode
             )
@@ -670,7 +643,7 @@ class ShardedSearchService:
         ):
             for shard, result in enumerate(per_shard):
                 shard_stats[shard].merge(result.stats)
-            results.append(self._merge(query, h_thr, per_shard, top_k, mode))
+            results.append(self._merge(query, h_thr, per_shard, top_k))
         wall = time.perf_counter() - started
         return ShardedBatchReport(
             results=results,

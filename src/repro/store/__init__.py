@@ -19,11 +19,10 @@ from repro.store.sharded import (
     read_manifest,
     write_manifest,
 )
-from repro.store.store import KMER_AUX_VERSION, IndexStore, fingerprint_key
+from repro.store.store import IndexStore, fingerprint_key
 
 __all__ = [
     "IndexStore",
-    "KMER_AUX_VERSION",
     "ShardedStore",
     "StoreCache",
     "StoreError",

@@ -38,7 +38,6 @@ from typing import Sequence
 
 from repro.alphabet import DNA, Alphabet
 from repro.errors import StoreError
-from repro.index.kmer_index import DEFAULT_WORD_SIZE
 from repro.io.database import SequenceDatabase, ShardPlan
 from repro.io.fasta import FastaRecord
 from repro.scoring.scheme import DEFAULT_SCHEME, ScoringScheme
@@ -142,21 +141,20 @@ def _shard_name(manifest_name: str, shard: int) -> str:
 
 
 def _build_shard_store(
-    task: "tuple[int, list[FastaRecord], str, Alphabet, ScoringScheme, int, int, int | None]",
+    task: "tuple[int, list[FastaRecord], str, Alphabet, ScoringScheme, int, int]",
 ) -> tuple[int, int]:
     """Build and save one shard store; returns ``(shard, header_crc)``.
 
     Module-level so fork *and* spawn pools can run it; the records travel
     by pickle (spawn) or arrive copy-on-write (fork).
     """
-    shard, records, dest, alphabet, scheme, occ_block, sa_sample, kmer_k = task
+    shard, records, dest, alphabet, scheme, occ_block, sa_sample = task
     store = IndexStore.build(
         SequenceDatabase(records),
         alphabet=alphabet,
         scheme=scheme,
         occ_block=occ_block,
         sa_sample=sa_sample,
-        kmer_k=kmer_k,
     )
     store.save(dest)
     return shard, store.header_crc
@@ -195,7 +193,6 @@ class ShardedStore:
         occ_block: int = 128,
         sa_sample: int = 16,
         build_workers: int = 1,
-        kmer_k: int | None = DEFAULT_WORD_SIZE,
     ) -> "ShardedStore":
         """Partition, build every shard store, write the manifest, reopen.
 
@@ -216,7 +213,6 @@ class ShardedStore:
                 scheme,
                 occ_block,
                 sa_sample,
-                kmer_k,
             )
             for shard, assigned in enumerate(plan.assignments)
         ]

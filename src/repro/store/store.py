@@ -28,7 +28,6 @@ from repro.core.domination import DominationIndex
 from repro.errors import StoreError
 from repro.index.csa import ReversedTextIndex
 from repro.index.fm_index import FMIndex
-from repro.index.kmer_index import DEFAULT_WORD_SIZE, KmerIndex
 from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord
 from repro.scoring.scheme import DEFAULT_SCHEME, ScoringScheme
@@ -42,15 +41,6 @@ from repro.store.format import (
 
 #: Well-known alphabets resolved by character set when reopening a store.
 _KNOWN_ALPHABETS = {DNA.chars: DNA, PROTEIN.chars: PROTEIN}
-
-#: Format version of the optional k-mer aux section (bump on layout change).
-#: The section rides the normal array table, so its bytes are CRC'd like
-#: every other array; a store without it (or with a version/k mismatch)
-#: simply falls back to a lazy in-memory build.
-KMER_AUX_VERSION = 1
-
-#: Arrays making up the k-mer aux section (CSR postings layout).
-_KMER_ARRAYS = ("kmer_words", "kmer_offsets", "kmer_positions")
 
 
 def _fingerprint(
@@ -124,6 +114,12 @@ class IndexStore:
     :meth:`save`) or :meth:`open` (arrays memory-mapped read-only from a
     saved file).  Either way :meth:`database` and :meth:`engine` assemble —
     and cache — the runtime objects.
+
+    A store holds the paper's Fig. 11 contents: the database, the BWT
+    index and the dominate index.  Files written by earlier versions also
+    carry BLAST seed postings (``kmer_*`` arrays, plus an ``aux`` header
+    entry outside the fingerprint); those arrays are ignored, so such
+    stores still open, verify and serve.
     """
 
     def __init__(
@@ -135,7 +131,6 @@ class IndexStore:
         self._header_crc: int | None = None
         self._database: SequenceDatabase | None = None
         self._engines: dict[tuple, ALAE] = {}
-        self._kmer_indexes: dict[int, KmerIndex] = {}
         # Instances are shared across threads via StoreCache; the lock keeps
         # the expensive lazy materializations single-flight.
         self._materialize_lock = threading.RLock()
@@ -150,14 +145,8 @@ class IndexStore:
         scheme: ScoringScheme = DEFAULT_SCHEME,
         occ_block: int = 128,
         sa_sample: int = 16,
-        kmer_k: int | None = DEFAULT_WORD_SIZE,
     ) -> "IndexStore":
-        """Run every offline construction and capture the results as arrays.
-
-        ``kmer_k`` additionally persists the BLAST seeding postings as an
-        aux section (``None`` disables it; serving then lazy-builds the
-        index in memory on the first ``fast``/``verified`` search).
-        """
+        """Run every offline construction and capture the results as arrays."""
         database = SequenceDatabase.coerce(database)
         for record in database.records:
             if "\n" in record.header:
@@ -192,20 +181,8 @@ class IndexStore:
                 "total_length": database.total_length,
             },
         }
-        kmer_index: KmerIndex | None = None
-        if kmer_k is not None:
-            kmer_index = KmerIndex(text, int(kmer_k))
-            arrays.update(kmer_index.components())
-            # Aux sections live beside the fingerprint, not in it: they add
-            # capability without changing the store's identity (cache keys,
-            # shard-manifest compatibility).
-            header["aux"] = {
-                "kmer": {"version": KMER_AUX_VERSION, "k": int(kmer_k)}
-            }
         store = cls(header, arrays, path=None)
         store._database = database
-        if kmer_index is not None:
-            store._kmer_indexes[kmer_index.k] = kmer_index
         return store
 
     def save(self, path: str | Path) -> Path:
@@ -325,45 +302,6 @@ class IndexStore:
                     headers_blob.split("\n"),
                 )
             return self._database
-
-    def kmer_index(self, k: int | None = None) -> KmerIndex:
-        """The k-mer seeding index for word length ``k`` (cached per ``k``).
-
-        When the store carries a matching aux section (same format version
-        and ``k``) the index is reconstructed from the mapped arrays —
-        posting lists are zero-copy slices of the on-disk bytes.  Otherwise
-        (no section, version skew, or a different ``k``) it is built from
-        the text in memory: absent aux degrades to lazy, never to an error.
-        ``k=None`` means "whatever the store persisted" (falling back to
-        the default word size).
-        """
-        aux = self._header.get("aux", {}).get("kmer")
-        if k is None:
-            k = int(aux["k"]) if aux else DEFAULT_WORD_SIZE
-        k = int(k)
-        with self._materialize_lock:
-            cached = self._kmer_indexes.get(k)
-            if cached is not None:
-                return cached
-            text = self.database().text
-            index: KmerIndex | None = None
-            if (
-                aux is not None
-                and aux.get("version") == KMER_AUX_VERSION
-                and int(aux.get("k", 0)) == k
-                and set(_KMER_ARRAYS) <= set(self._arrays)
-            ):
-                index = KmerIndex.from_components(
-                    text,
-                    k,
-                    self.array("kmer_words"),
-                    self.array("kmer_offsets"),
-                    self.array("kmer_positions"),
-                )
-            if index is None:
-                index = KmerIndex(text, k)
-            self._kmer_indexes[k] = index
-            return index
 
     def engine(self, **toggles) -> ALAE:
         """An :class:`ALAE` engine over the stored indexes (cached per toggles).

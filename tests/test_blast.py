@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import ALAE, Blast, DEFAULT_SCHEME, genome
+from repro import ALAE, Blast, DEFAULT_SCHEME, DNA, genome
 from repro.blast.extension import ungapped_xdrop
 from repro.blast.seeding import Seed, find_seeds
 from repro.errors import SearchError
@@ -115,3 +115,15 @@ class TestBlastEngine:
         res = Blast(text, word_size=11).search(query, threshold=40)
         assert res.hits.best() is not None
         assert res.hits.best().score >= 60 - 9  # 60 matches, one 2-gap
+
+    def test_counters_populated(self):
+        rng = np.random.default_rng(3)
+        text = DNA.random_sequence(2_000, rng)
+        start = int(rng.integers(0, 2_000 - 60))
+        query = text[start : start + 60]
+        result = Blast(text, word_size=8).search(query, threshold=40)
+        stats = result.stats
+        assert stats.extra["seeds"] > 0
+        assert stats.calculated_x1 > 0  # ungapped x-drop walks
+        assert stats.calculated_x3 > 0  # gapped window DP cells
+        assert len(result.hits) >= 1

@@ -104,3 +104,13 @@ class TestEvalueThreshold:
         a = KarlinAltschul.from_scheme(DEFAULT_SCHEME, 4)
         b = KarlinAltschul.from_scheme(DEFAULT_SCHEME, 4)
         assert a is b
+
+    def test_resolve_threshold_reexport_is_same_object(self):
+        import warnings
+
+        from repro.scoring.evalue import resolve_threshold as canonical
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            from repro.align.bwt_sw import resolve_threshold as legacy
+        assert legacy is canonical

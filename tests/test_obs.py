@@ -377,6 +377,23 @@ class TestReplayPlan:
         assert sum(report.mode_counts.values()) == 4
         assert "replayed 4 queries" in report.format()
 
+    def test_replay_counts_refused_requests(self, corpus, tmp_path):
+        # Logs written before exact-only serving hold ``fast`` rows; the
+        # in-process replay counts each refusal and serves the rest, as
+        # the server path does.
+        path = self._catalog_with_traffic(tmp_path)
+        plan = ReplayPlan.from_catalog(path, seed=4, count=12)
+        fast = sum(event.mode == "fast" for event in plan.events)
+        assert 0 < fast < len(plan.events)
+        service = SearchService(store=corpus["mono"])
+        report = replay_plan(plan, service=service)
+        assert report.errors == fast
+        assert report.queries == len(plan.events)
+        assert report.mode_counts["fast"] == fast
+        assert report.mode_counts["exact"] + report.mode_counts["verified"] == (
+            len(plan.events) - fast
+        )
+
     def test_replay_sharded_names_hottest_shard(self, corpus, tmp_path):
         path = self._catalog_with_traffic(tmp_path)
         plan = ReplayPlan.from_catalog(path, seed=13, count=4)

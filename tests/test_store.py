@@ -14,8 +14,16 @@ from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord
 from repro.scoring.scheme import DEFAULT_SCHEME, ScoringScheme
 from repro.service import ServiceError
-from repro.store import FORMAT_VERSION, MAGIC, IndexStore, StoreCache
-from repro.store.format import read_header
+from repro.store import (
+    FORMAT_VERSION,
+    MAGIC,
+    IndexStore,
+    ShardedStore,
+    StoreCache,
+    read_manifest,
+    write_manifest,
+)
+from repro.store.format import header_prefix_crc, read_header, write_store
 
 
 def make_database(alphabet=DNA, records=3, length=300, seed=11):
@@ -457,3 +465,97 @@ class TestCli:
         )
         assert code == 2
         assert "scheme" in capsys.readouterr().err
+
+
+def _add_kmer_section(path, k=11):
+    """Rewrite the store at ``path`` with the k-mer postings section.
+
+    Stores written before exact-only serving carried BLAST's seed postings
+    as three CSR arrays plus an ``aux`` header entry outside the
+    fingerprint; this reproduces that layout byte for byte.
+    """
+    store = IndexStore.open(path)
+    header = {key: value for key, value in store.header.items() if key != "arrays"}
+    arrays = {
+        spec["name"]: np.array(store.array(spec["name"]))
+        for spec in store.header["arrays"]
+    }
+    text = store.database().text
+    starts: dict[str, list[int]] = {}
+    for start0 in range(len(text) - k + 1):
+        starts.setdefault(text[start0 : start0 + k], []).append(start0 + 1)
+    kmers = sorted(starts)
+    arrays["kmer_words"] = np.frombuffer(
+        "".join(kmers).encode("ascii"), dtype=np.uint8
+    ).reshape(len(kmers), k)
+    arrays["kmer_offsets"] = np.cumsum(
+        [0] + [len(starts[kmer]) for kmer in kmers], dtype=np.int64
+    )
+    arrays["kmer_positions"] = np.array(
+        [pos for kmer in kmers for pos in starts[kmer]], dtype=np.int64
+    )
+    header["aux"] = {"kmer": {"version": 1, "k": k}}
+    write_store(path, header, arrays)
+
+
+class TestStoresWithKmerSection:
+    """Stores written with the k-mer section still open, verify and serve."""
+
+    @pytest.fixture()
+    def queries(self, tmp_path, dna_database):
+        path = tmp_path / "q.fa"
+        write_fasta(
+            [
+                FastaRecord(header=f"q{i}", sequence=seq)
+                for i, seq in enumerate(queries_for(dna_database), start=1)
+            ],
+            path,
+        )
+        return path
+
+    def _search_db(self, capsys, index, queries):
+        argv = ["search-db", "--index", str(index), str(queries), "--threshold", "25"]
+        assert cli_main(argv) == 0
+        return capsys.readouterr().out
+
+    def test_store_opens_verifies_and_answers_identically(
+        self, tmp_path, dna_database, queries, capsys
+    ):
+        plain = IndexStore.build(dna_database).save(tmp_path / "plain.idx")
+        old = IndexStore.build(dna_database).save(tmp_path / "old.idx")
+        _add_kmer_section(old)
+        store = IndexStore.open(old)
+        assert store.header["aux"] == {"kmer": {"version": 1, "k": 11}}
+        assert {"kmer_words", "kmer_offsets", "kmer_positions"} <= set(
+            store.size_bytes()
+        )
+        assert store.fingerprint == IndexStore.open(plain).fingerprint
+        assert IndexStore.verify(old) == []
+        assert cli_main(["index", "verify", str(old)]) == 0
+        capsys.readouterr()
+        served = self._search_db(capsys, old, queries)
+        assert "\t" in served
+        assert served == self._search_db(capsys, plain, queries)
+
+    def test_manifest_opens_verifies_and_answers_identically(
+        self, tmp_path, dna_database, queries, capsys
+    ):
+        plain = tmp_path / "plain.shd"
+        old = tmp_path / "old.shd"
+        ShardedStore.build(dna_database, plain, shards=2)
+        ShardedStore.build(dna_database, old, shards=2)
+        payload = read_manifest(old)
+        for spec in payload["shards"]:
+            shard = old.with_name(spec["path"])
+            _add_kmer_section(shard)
+            spec["header_crc"] = header_prefix_crc(shard)
+        write_manifest(old, payload)
+        assert ShardedStore.verify(old) == []
+        assert all(
+            "aux" in store.header for store in ShardedStore.open(old).stores()
+        )
+        assert cli_main(["index", "verify", str(old)]) == 0
+        capsys.readouterr()
+        served = self._search_db(capsys, old, queries)
+        assert "\t" in served
+        assert served == self._search_db(capsys, plain, queries)
