@@ -5,6 +5,11 @@ The contract every surface shares:
 * ``verified`` equals ``exact`` in hits, ``raw_hits``, ``dropped_boundary``
   and threshold, with and without ``top_k``, for a text-backed service, a
   store-backed one, a 3-shard service and the wire;
+* ``verified``'s own contract, hits a bit-equal subset of ``exact``'s, holds
+  with equality on random homolog workloads, two scoring schemes and both
+  alphabets, start attributions included;
+* every backend, the offline baselines included, satisfies the
+  :class:`~repro.engine.SearchBackend` protocol under honest labels;
 * ``fast`` is refused with one message (:data:`repro.engine.FAST_REFUSED`)
   by both services, the server's error response and ``repro query``, and
   unknown modes are rejected;
@@ -16,9 +21,24 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro import IndexStore, genome, write_fasta
+from repro import DNA, PROTEIN, IndexStore, ScoringScheme, genome, write_fasta
+from repro.align.bwt_sw import BwtSw
+from repro.align.types import START_UNKNOWN
+from repro.blast.engine import Blast
 from repro.cli import main
-from repro.engine import FAST_REFUSED, MODES, AlaeBackend, VerifiedBackend, check_mode
+from repro.core.alae import ALAE
+from repro.data.synthetic import sample_homologous_queries
+from repro.engine import (
+    FAST_REFUSED,
+    MODES,
+    AlaeBackend,
+    BackendInfo,
+    BaselineBackend,
+    SearchBackend,
+    VerifiedBackend,
+    backends_for,
+    check_mode,
+)
 from repro.errors import SearchError
 from repro.io.database import SequenceDatabase
 from repro.io.fasta import FastaRecord
@@ -151,6 +171,101 @@ class TestVerifiedIsExact:
         # The modes keep separate cache entries.
         assert not any(r.cached for r in verified.results)
         assert (stats["mode"], stats["engine"]) == ("exact", "alae")
+
+
+def _planted_text_and_query(rng, n=2_000, qlen=60, alphabet=DNA):
+    """A text plus a query that is an exact copy of one of its windows."""
+    text = alphabet.random_sequence(n, rng)
+    start = int(rng.integers(0, n - qlen))
+    return text, text[start : start + qlen]
+
+
+def _hit_map(result):
+    """``(t_end, p_end) -> (score, t_start)`` for subset comparisons."""
+    return {
+        (hit.t_end, hit.p_end): (hit.score, hit.t_start)
+        for hit in result.hits.hits()
+    }
+
+
+def _assert_bit_equal_subset(verified, exact):
+    """Every verified cell is an exact cell with the same score and start."""
+    exact_map = _hit_map(exact)
+    for cell, payload in _hit_map(verified).items():
+        assert cell in exact_map, f"verified emitted {cell} not in exact"
+        assert exact_map[cell] == payload, (
+            f"verified cell {cell} differs: {payload} vs {exact_map[cell]}"
+        )
+
+
+class TestVerifiedSubsetOfExact:
+    """``verified`` is a bit-equal subset of ``exact``, with equality."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "scheme",
+        [ScoringScheme(1, -3, -5, -2), ScoringScheme(2, -3, -7, -2)],
+    )
+    def test_dna_random_homologs(self, seed, scheme):
+        rng = np.random.default_rng(seed)
+        text = genome(2_000, rng)
+        queries = sample_homologous_queries(
+            text, count=2, length=120, rng=rng, sub_rate=0.03
+        )
+        exact_engine = ALAE(text, scheme=scheme)
+        verified = VerifiedBackend(exact_engine)
+        for query in queries:
+            for threshold in (25, 40):
+                exact = exact_engine.search(query, threshold=threshold)
+                ver = verified.search(query, threshold=threshold)
+                _assert_bit_equal_subset(ver, exact)
+                assert list(ver.hits.hits()) == list(exact.hits.hits())
+                assert ver.threshold == exact.threshold == threshold
+
+    def test_protein_alphabet(self):
+        rng = np.random.default_rng(11)
+        text = PROTEIN.random_sequence(1_200, rng)
+        start = int(rng.integers(0, 1_140))
+        query = text[start : start + 50]
+        exact_engine = ALAE(text, alphabet=PROTEIN)
+        ver = VerifiedBackend(exact_engine).search(query, threshold=30)
+        exact = exact_engine.search(query, threshold=30)
+        assert len(exact.hits) > 0
+        _assert_bit_equal_subset(ver, exact)
+        assert _hit_map(ver) == _hit_map(exact)
+
+    def test_start_attribution_bit_equal(self):
+        rng = np.random.default_rng(23)
+        text, query = _planted_text_and_query(rng, n=1_500, qlen=80)
+        exact_engine = ALAE(text)
+        ver = VerifiedBackend(exact_engine).search(query, threshold=50)
+        exact_map = _hit_map(exact_engine.search(query, threshold=50))
+        assert len(ver.hits) > 0
+        for cell, (score, t_start) in _hit_map(ver).items():
+            assert t_start != START_UNKNOWN
+            assert exact_map[cell] == (score, t_start)
+        assert _hit_map(ver) == exact_map
+
+
+class TestBackendProtocol:
+    def test_adapters_satisfy_protocol(self):
+        text = "ACGTACGTACGTACGTACGT"
+        engine = ALAE(text)
+        backends = [
+            *backends_for(engine).values(),
+            BaselineBackend(BwtSw(text)),
+            BaselineBackend(Blast(text, word_size=4)),
+        ]
+        for backend in backends:
+            assert isinstance(backend, SearchBackend)
+            assert backend.info.mode in MODES
+            assert len(backend.search("ACGTACGTAC", threshold=8).hits) > 0
+        assert [backend.info for backend in backends] == [
+            BackendInfo(name="alae", mode="exact"),
+            BackendInfo(name="alae", mode="verified"),
+            BackendInfo(name="bwtsw", mode="exact"),
+            BackendInfo(name="blast", mode="exact"),
+        ]
 
 
 class TestFastRefused:
